@@ -1,7 +1,7 @@
 # Convenience entry points. Everything here is plain cargo underneath so
 # local runs and CI are identical.
 
-.PHONY: all test perf perf-check perf-verbose perf-micro lockstep lockstep-shard lockstep-snapshot chaos docs examples lint lint-chopim checked-release
+.PHONY: all test perf perf-check perf-verbose perf-micro lockstep lockstep-snapshot chaos docs examples lint lint-chopim checked-release
 
 all: test
 
@@ -37,19 +37,14 @@ perf-micro:
 lockstep:
 	cargo test --release -p chopim-exp --test ff_lockstep
 
-# Channel-sharded executor determinism: serial vs 2-thread vs 4-thread
-# shard execution must produce bit-identical SimReports.
-lockstep-shard:
-	cargo test --release -p chopim-exp --test shard_lockstep
-
 # Snapshot/resume + trace lockstep: resuming a mid-run image is
-# bit-identical under every engine mode; captured traces replay to
+# bit-identical under the naive and fast loops; captured traces replay to
 # identical DramStats (what the CI `equivalence` job runs).
 lockstep-snapshot:
 	cargo test --release -p chopim-exp --test snapshot_lockstep
 
 # The fault plane end to end (the CI `chaos` job): active-plan lockstep
-# across thread counts/loops + snapshot-under-faults, recovery liveness
+# across the naive and fast loops + snapshot-under-faults, recovery liveness
 # properties (no lost ops, capped backoff), and malformed-input fuzzing
 # of the CHSS/CHTR readers.
 chaos:
@@ -90,4 +85,4 @@ lint-chopim:
 # scan, horizon conservatism) and arithmetic overflow fires at release
 # optimisation levels too.
 checked-release:
-	cargo test --profile release-checked -p chopim-exp --test ff_lockstep --test shard_lockstep --test snapshot_lockstep
+	cargo test --profile release-checked -p chopim-exp --test ff_lockstep --test snapshot_lockstep

@@ -12,8 +12,7 @@
 //!   bit-identical to demonstrate the replicated-FSM coordination of
 //!   §III-D. The machine is **channel-sharded**: a front-end plus one
 //!   shard per channel exchanging cycle-stamped messages, executed in
-//!   conservative-lookahead windows — serially or on a worker pool
-//!   (`ChopimConfig::sim_threads`) with bit-identical results;
+//!   conservative-lookahead windows;
 //! * [`runtime`] — the §V runtime/API: colored system-row allocation,
 //!   per-tenant [`Session`]s with builder-style op
 //!   submission (with the Fig.-10 granularity knob), dependency-aware
@@ -63,7 +62,6 @@
 pub mod energy;
 #[doc(hidden)]
 pub mod exchange;
-mod par;
 pub mod policy;
 pub mod report;
 pub mod runtime;
@@ -76,8 +74,6 @@ pub mod prelude {
     pub use crate::energy::{EnergyParams, EnergyReport, PeActivity};
     pub use crate::policy::WriteIssuePolicy;
     pub use crate::report::{FaultReport, SimReport, TenantReport};
-    #[allow(deprecated)]
-    pub use crate::runtime::OpId;
     pub use crate::runtime::{
         JobGraph, LaunchOpts, MatId, OpBuilder, OpHandle, OpStatus, QosClass, Runtime, Session,
         Sharing, SubmitError, TenantLimits, Ticket, VecId,

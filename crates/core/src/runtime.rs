@@ -97,11 +97,6 @@ impl OpHandle {
     }
 }
 
-/// Deprecated name for [`OpHandle`] (ops used to be numbered globally;
-/// they are now per-session handles).
-#[deprecated(note = "use OpHandle")]
-pub type OpId = OpHandle;
-
 /// Terminal status of an operation. Every submitted op reaches exactly
 /// one of these (the recovery property suite's no-lost-ops contract);
 /// [`Runtime::op_status`] returns `None` while the op is still live.
@@ -260,7 +255,7 @@ impl Default for LaunchOpts {
 /// released launch charges the session `QUANTUM / weight`, so a weight-2
 /// tenant is served twice as often as a weight-1 tenant under
 /// contention. No floats, no wall-clock: schedules are bit-identical
-/// across engines, thread counts, and snapshot/resume.
+/// across engine modes and snapshot/resume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QosClass {
     /// Strict-priority band, round-robin among latency-sensitive peers.
@@ -1182,56 +1177,6 @@ impl Runtime {
         h
     }
 
-    /// Launch an elementwise Table-I operation on the default session.
-    #[deprecated(note = "use Session::elementwise(...).submit()")]
-    pub fn launch_elementwise(
-        &mut self,
-        op: Opcode,
-        scalars: Vec<f32>,
-        inputs: Vec<VecId>,
-        output: Option<VecId>,
-        opts: LaunchOpts,
-    ) -> OpHandle {
-        self.submit_elementwise(
-            self.default_session(),
-            op,
-            scalars,
-            inputs,
-            output,
-            opts,
-            Vec::new(),
-            true,
-        )
-    }
-
-    /// Launch `y = A x` on the default session.
-    #[deprecated(note = "use Session::gemv(...).submit()")]
-    pub fn launch_gemv(&mut self, y: VecId, a: MatId, x: VecId, opts: LaunchOpts) -> OpHandle {
-        self.submit_gemv(self.default_session(), y, a, x, opts, Vec::new(), true)
-    }
-
-    /// Launch the `parallel_for` macro op on the default session.
-    #[deprecated(note = "use Session::axpy_rows(...).submit()")]
-    pub fn launch_macro_axpy_rows(
-        &mut self,
-        a_pvt: VecId,
-        alphas: Vec<f32>,
-        x: MatId,
-        samples_per_instr: usize,
-        opts: LaunchOpts,
-    ) -> OpHandle {
-        self.submit_axpy_rows(
-            self.default_session(),
-            a_pvt,
-            alphas,
-            x,
-            samples_per_instr,
-            opts,
-            Vec::new(),
-            true,
-        )
-    }
-
     /// Split an elementwise op into per-rank instructions and queue it on
     /// `sess`, inserting realignment copies for color mismatches.
     ///
@@ -1882,7 +1827,7 @@ impl Runtime {
     /// `false` when a launch could stage: every event that creates
     /// stageability notifies the index. Extra executed cycles never
     /// change staging decisions — the lockstep suites pin this.
-    pub fn launch_ready(&self, _space: impl Fn(usize) -> usize, _now: u64) -> bool {
+    pub fn launch_ready(&self) -> bool {
         !self.ready[0].is_empty() || !self.ready[1].is_empty()
     }
 

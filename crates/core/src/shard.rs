@@ -1,4 +1,4 @@
-//! One channel's simulation shard: the unit of parallelism of the
+//! One channel's simulation shard: the per-channel unit of the
 //! channel-sharded engine.
 //!
 //! A [`ChannelShard`] owns everything that lives behind one memory
@@ -8,7 +8,7 @@
 //! queue. Nothing inside a shard ever references another shard or the
 //! front-end: all traffic in and out is typed, cycle-stamped messages
 //! ([`ShardInbound`] arriving, fill/completion messages leaving), which is
-//! what makes the conservative-lookahead parallel executor deterministic —
+//! what makes the conservative-lookahead window schedule deterministic —
 //! a shard ticking cycles `[T, T+W)` can only observe messages stamped
 //! before `T+W`, all of which were produced before the window began.
 //!
@@ -259,23 +259,14 @@ pub(crate) struct ChannelShard {
     // chopim-lint: allow(snapshot) -- diagnostic event log (record_events); capture sessions never span a snapshot
     pub(crate) completion_log: Vec<(Cycle, u64)>,
     /// Per-shard policy RNG: seeded from `(seed, channel)` so the draw
-    /// stream is independent of every other shard — the precondition for
-    /// ticking shards on a worker pool without perturbing stochastic
-    /// write throttling.
+    /// stream is independent of every other shard and of the order in
+    /// which shards run a window.
     policy_rng: StdRng,
     /// Fault-injection counters and flags (see [`FaultState`]).
     fault: FaultState,
     // chopim-lint: allow(snapshot) -- ShardParams config copy; resume reconstructs every shard from the same config
     params: ShardParams,
     pub(crate) now: Cycle,
-    /// Cached event horizon: the shard state as of the last executed
-    /// cycle provably generates no activity before this cycle (new inbox
-    /// messages can still arrive earlier — the front-end checks the
-    /// inbox stamp separately). Invalidated (set to `now`) by every
-    /// executed cycle; refreshed by [`horizon`](Self::horizon). The
-    /// computed-horizon barrier skip reads it via
-    /// [`quiet_until`](Self::quiet_until).
-    quiet_until: Cycle,
     ticks_executed: u64,
     cycles_skipped: u64,
     ff_streak: u32,
@@ -425,7 +416,6 @@ impl ChannelShard {
             fault,
             params,
             now: 0,
-            quiet_until: 0,
             ticks_executed: 0,
             cycles_skipped: 0,
             ff_streak: 0,
@@ -462,20 +452,6 @@ impl ChannelShard {
             .all(|(n, s)| n.fsm().fingerprint() == s.fingerprint())
     }
 
-    /// The cached horizon from the shard's last self-inspection: no
-    /// shard-internal event fires strictly before this cycle. The
-    /// front-end combines it with the inbox's first stamp to decide
-    /// whether the shard may skip a window barrier outright.
-    pub(crate) fn quiet_until(&self) -> Cycle {
-        self.quiet_until
-    }
-
-    /// Earliest-actionable stamp waiting in the ingress FIFO (head of
-    /// line: later messages cannot act before the front one).
-    pub(crate) fn inbox_first_stamp(&self) -> Option<Cycle> {
-        self.inbox.front().map(|&(t, _)| t)
-    }
-
     /// Ingress-arena high-water mark (sizing telemetry).
     pub(crate) fn inbox_high_water(&self) -> usize {
         self.inbox.high_water()
@@ -488,9 +464,6 @@ impl ChannelShard {
         while self.now < target {
             self.tick_cycle();
             self.now += 1;
-            // An executed cycle may have scheduled arbitrarily early new
-            // events; any previously computed horizon is stale.
-            self.quiet_until = self.now;
             self.maybe_skip(target);
         }
     }
@@ -504,7 +477,7 @@ impl ChannelShard {
 
         // 0. Permanent rank death fires at its planned cycle. The
         // horizon folds the death cycle in, so every engine variant
-        // (naive, fast-forwarding, any thread count) executes this tick
+        // (naive or fast-forwarding) executes this tick
         // at exactly the same cycle.
         if self.fault.active && !self.fault.death_processed {
             if let Some(local) = self.fault.death_local {
@@ -807,8 +780,8 @@ impl ChannelShard {
             }
             // Completions (both sides pop identically). The host learns
             // of each one `completion_latency` cycles later — the
-            // status-poll pipeline that also bounds the parallel
-            // executor's lookahead window.
+            // status-poll pipeline that also bounds the engine's
+            // lookahead window.
             while let Some(id) = ndas[i].fsm_mut().pop_completed() {
                 let sid = shadows[i].pop_completed();
                 debug_assert_eq!(sid, Some(id));
@@ -839,14 +812,7 @@ impl ChannelShard {
     /// cycle) at which any component of this shard could act, assuming
     /// no other agent touches it first. Conservative answers only waste
     /// a wake-up; no component may act strictly before its horizon.
-    /// Also refreshes the [`quiet_until`](Self::quiet_until) cache.
     pub(crate) fn horizon(&mut self) -> Cycle {
-        let h = self.horizon_inner();
-        self.quiet_until = h;
-        h
-    }
-
-    fn horizon_inner(&mut self) -> Cycle {
         let now = self.now;
         if self.nda_poke.iter().any(|&p| p) {
             return now;
@@ -1049,7 +1015,6 @@ impl ChannelShard {
             w.u64(s);
         }
         w.varint(self.now);
-        w.varint(self.quiet_until);
         w.varint(self.ticks_executed);
         w.varint(self.cycles_skipped);
         w.varint(u64::from(self.ff_streak));
@@ -1170,7 +1135,6 @@ impl ChannelShard {
         }
         self.policy_rng = StdRng::from_state(rng_state);
         self.now = r.varint()?;
-        self.quiet_until = r.varint()?;
         self.ticks_executed = r.varint()?;
         self.cycles_skipped = r.varint()?;
         self.ff_streak = r.varint_u32()?;

@@ -37,27 +37,20 @@
 //! `W = min(tCL + burst, completion_latency)` cycles: the front-end runs
 //! a window first (its outbound messages can even be consumed the same
 //! cycle, since shards run after it), then every shard runs the same
-//! window independently — serially or on a worker pool
-//! ([`ChopimConfig::sim_threads`]) — and the queues are exchanged at the
-//! barrier. On top of the grid each shard computes a **per-shard
-//! lookahead horizon** from its actual state (MC queues and wake hints,
-//! NDA FSM readiness, refresh timers, pending launch deliveries,
-//! undelivered inbox messages): a shard whose cached horizon clears the
-//! next barrier — and whose inbox holds nothing due before it — skips
-//! that barrier entirely, so a quiet channel costs one comparison per
-//! window instead of a tick-and-exchange.
-//! [`ChopimConfig::fixed_window`] (env `CHOPIM_FIXED_WINDOW=1`) disables
-//! the skipping; that pure fixed-window schedule is the lockstep oracle
-//! the ablation test compares computed horizons against. Shards never
-//! observe each other mid-window and each carries
-//! its own policy RNG, so the schedule is **deterministic by
-//! construction**: any thread count produces bit-identical
-//! [`SimReport`]s (enforced by `crates/exp/tests/shard_lockstep.rs`;
-//! `crates/core/tests/horizon_props.rs` property-checks horizon
-//! conservatism against the messages shards actually emit).
-//! When every component is idle at a barrier, the engine additionally
-//! leaps the whole machine to the global event horizon, preserving the
-//! fast-forward throughput on idle-heavy scenarios.
+//! window in turn, and the queues are exchanged at the barrier. Inside a
+//! window each shard fast-forwards over provably idle stretches using a
+//! **per-shard event horizon** computed from its actual state (MC queues
+//! and wake hints, NDA FSM readiness, refresh timers, pending launch
+//! deliveries, undelivered inbox messages). Shards never observe each
+//! other mid-window and each carries its own policy RNG, so the schedule
+//! is **deterministic by construction**: the naive and fast-forwarding
+//! loops produce bit-identical [`SimReport`]s (enforced by
+//! `crates/exp/tests/ff_lockstep.rs`; `crates/core/tests/horizon_props.rs`
+//! property-checks horizon conservatism against the messages shards
+//! actually emit). When every component is idle at a barrier, the
+//! engine additionally leaps the whole machine to the global event
+//! horizon, preserving the fast-forward throughput on idle-heavy
+//! scenarios.
 //!
 //! The exchange itself is allocation-free in steady state (pinned by
 //! `crates/core/tests/alloc_steady_state.rs`): ingress rides
@@ -80,7 +73,6 @@ use chopim_nda::snapshot::{decode_instr, encode_instr};
 
 use crate::energy::{self, EnergyParams};
 use crate::exchange::{MergeQueue, ShardInbound, COMPLETION_OK, COMPLETION_RANK_DEAD};
-use crate::par::ShardPool;
 use crate::policy::WriteIssuePolicy;
 use crate::report::{FaultReport, SimReport};
 use crate::runtime::{decode_handle, encode_handle, OpHandle, PendingLaunch, Runtime, Session};
@@ -89,10 +81,8 @@ use crate::shard::{ChannelShard, ShardParams};
 
 /// What [`ChopimSystem::drive`] waits for.
 ///
-/// The four shapes cover every drive pattern the old bespoke entry
-/// points (`run_until_op`, `run_until_quiescent`, per-client poll loops)
-/// hand-rolled: one handle, an all-of set, one session draining, or the
-/// whole machine draining.
+/// The four shapes cover every drive pattern: one handle, an all-of
+/// set, one session draining, or the whole machine draining.
 #[derive(Debug, Clone)]
 pub enum Waitable {
     /// One op has retired.
@@ -172,21 +162,6 @@ const LLC_MSHRS: usize = 48;
 /// the front-end and a shard's MC).
 const INGRESS_CAP: usize = 64;
 
-/// `CHOPIM_SIM_THREADS`, defaulting to 1 (serial shard execution).
-fn sim_threads_from_env() -> usize {
-    std::env::var("CHOPIM_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// `CHOPIM_FIXED_WINDOW=1` forces the pre-horizon fixed-window barrier
-/// schedule (the lockstep oracle); anything else keeps computed horizons.
-fn fixed_window_from_env() -> bool {
-    std::env::var("CHOPIM_FIXED_WINDOW").is_ok_and(|v| v == "1")
-}
-
 /// `CHOPIM_TRACE=<path>` enables event-trace capture and names the file
 /// [`ChopimSystem::write_trace`] emits (see `docs/TRACE_FORMAT.md`).
 #[cold]
@@ -251,24 +226,19 @@ pub struct ChopimConfig {
     /// NDA completion → host-visible delivery latency in DRAM cycles
     /// (the host polls rank status registers; completion is not
     /// observable instantaneously). Also the shard → front-end lookahead
-    /// floor: together with the read-fill latency it bounds the parallel
-    /// executor's window. Must be ≥ 1.
+    /// floor: together with the read-fill latency it bounds the
+    /// engine's barrier window. Must be ≥ 1.
     pub completion_latency: u32,
-    /// Worker threads for shard execution. `1` (the default) runs every
-    /// shard inline on the calling thread; `N > 1` ticks shards on a
-    /// pool of `min(N, channels)` workers. Any value produces
-    /// bit-identical [`SimReport`]s — the engine's schedule does not
-    /// depend on the thread count. Defaults to `CHOPIM_SIM_THREADS`.
+    /// Ignored: the engine always runs its shards serially. Removed in
+    /// the next change to the repository benchmark, which still sets it.
+    #[deprecated(note = "ignored: shards always run serially")]
+    #[doc(hidden)]
     pub sim_threads: usize,
-    /// Disable per-shard computed horizons and execute every shard
-    /// through every lookahead window (the pre-horizon engine). With
-    /// computed horizons (the default), a shard whose cached event
-    /// horizon and pending ingress both lie at or beyond the window
-    /// barrier leaps the window without being dispatched at all. Both
-    /// modes produce bit-identical [`SimReport`]s (the leap is the same
-    /// provably-idle skip the in-window fast-forward performs), so this
-    /// is the lockstep oracle, not a behavior switch; it only matters
-    /// when `fast_forward` is on. Defaults to `CHOPIM_FIXED_WINDOW=1`.
+    /// Ignored: the engine always runs every shard through every
+    /// barrier window. Removed in the next change to the repository
+    /// benchmark, which still sets it.
+    #[deprecated(note = "ignored: every window is a barrier for every shard")]
+    #[doc(hidden)]
     pub fixed_window: bool,
     /// When set, the machine records its event trace (DRAM commands,
     /// NDA launches, completions) from construction and encodes it to
@@ -301,6 +271,7 @@ pub struct ChopimConfig {
 }
 
 impl Default for ChopimConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             dram: DramConfig::table_ii(),
@@ -323,8 +294,8 @@ impl Default for ChopimConfig {
             // Matches the read-fill floor (tCL + burst = 20 for Table
             // II timing), so it costs no lookahead.
             completion_latency: 20,
-            sim_threads: sim_threads_from_env(),
-            fixed_window: fixed_window_from_env(),
+            sim_threads: 1,
+            fixed_window: false,
             trace_path: trace_path_from_env(),
             faults: FaultPlan::from_env(),
             retry_limit: 3,
@@ -381,8 +352,6 @@ pub struct ChopimSystem {
     /// One shard per channel; always synced to `self.now` between public
     /// calls.
     shards: Vec<ChannelShard>,
-    // chopim-lint: allow(snapshot) -- thread-pool machinery rebuilt from cfg.sim_threads, carries no simulation state
-    pool: Option<ShardPool>,
     /// The lookahead window length (cycles between shard barriers).
     // chopim-lint: allow(snapshot) -- derived from cfg.lookahead() at construction
     window: Cycle,
@@ -559,11 +528,6 @@ impl ChopimSystem {
 
         let n = nda_ranks.len();
         let nchannels = cfg.dram.channels;
-        let pool = if cfg.sim_threads > 1 && nchannels > 1 {
-            Some(ShardPool::new(cfg.sim_threads.min(nchannels)))
-        } else {
-            None
-        };
         let window = cfg.lookahead();
         let cfg_queue_cap = cfg.nda_queue_cap;
         let recovery_active = !cfg.faults.is_empty();
@@ -574,7 +538,6 @@ impl ChopimSystem {
             cores,
             core_regions,
             shards,
-            pool,
             window,
             nda_local: nda_ranks,
             runtime,
@@ -1003,11 +966,8 @@ impl ChopimSystem {
         if self.runtime.has_pending_admissions() {
             return now;
         }
-        {
-            let credit = &self.nda_credit;
-            if self.runtime.launch_ready(|i| credit[i], now) {
-                return now;
-            }
+        if self.runtime.launch_ready() {
+            return now;
         }
         let mut h = Cycle::MAX;
         if let Some(&(t, _, _, _, _)) = self.completions.peek() {
@@ -1064,16 +1024,14 @@ impl ChopimSystem {
     }
 
     /// Barrier: hand this window's outbound messages to the shards, run
-    /// every shard up to `target` (on the pool when configured), then
-    /// collect their outboxes. The ingress occupancy view is refreshed
-    /// only at *grid-aligned* barriers: an early-exit barrier (a stop
-    /// predicate firing mid-window, or [`tick`](Self::tick)) must not
-    /// let the front-end observe shard drain progress sooner than an
-    /// unsliced run would, or the schedule — and the report — would
-    /// depend on how `run` calls are sliced.
+    /// every shard up to `target` and collect its outboxes. The ingress
+    /// occupancy view is refreshed only at *grid-aligned* barriers: an
+    /// early-exit barrier (a stop predicate firing mid-window, or
+    /// [`tick`](Self::tick)) must not let the front-end observe shard
+    /// drain progress sooner than an unsliced run would, or the schedule
+    /// — and the report — would depend on how `run` calls are sliced.
     fn advance_shards(&mut self, target: Cycle) {
         let on_grid = target.is_multiple_of(self.window);
-        let use_horizon = self.cfg.fast_forward && !self.cfg.fixed_window;
         perfcount::bump(Counter::Barriers);
         let mut exchanged = 0u64;
         for (ch, q) in self.egress.iter_mut().enumerate() {
@@ -1085,51 +1043,15 @@ impl ChopimSystem {
             // front-end keeps the shard's drained one for next window.
             self.shards[ch].inbox.absorb(q);
         }
-        // Computed horizons: a shard whose cached event horizon and
-        // earliest pending ingress stamp both lie at or beyond the
-        // barrier provably does nothing this window — leap it to the
-        // target (the same exact skip the in-window fast-forward makes)
-        // instead of dispatching it.
-        let mut active = self.shards.len();
-        if use_horizon {
-            active = 0;
-            for shard in &mut self.shards {
-                if shard.quiet_until() >= target
-                    && shard.inbox_first_stamp().is_none_or(|t| t >= target)
-                {
-                    let prev = perfcount::set_scope(1 + shard.channel_idx());
-                    perfcount::add(Counter::HorizonLeapCycles, target - shard.now);
-                    shard.skip_to(target);
-                    perfcount::set_scope(prev);
-                } else {
-                    active += 1;
-                }
-            }
-        }
-        perfcount::add(Counter::WindowsExecuted, active as u64);
-        match &self.pool {
-            // With at most one shard left to run, pool dispatch is pure
-            // overhead; run it inline.
-            Some(pool) if active > 1 => pool.run(&mut self.shards, target),
-            _ => {
-                for shard in &mut self.shards {
-                    if shard.now < target {
-                        let prev = perfcount::set_scope(1 + shard.channel_idx());
-                        shard.run_to(target);
-                        perfcount::set_scope(prev);
-                    }
-                }
-            }
-        }
+        perfcount::add(Counter::WindowsExecuted, self.shards.len() as u64);
         for shard in &mut self.shards {
+            let prev = perfcount::set_scope(1 + shard.channel_idx());
+            shard.run_to(target);
+            perfcount::hi(Counter::ArenaHighWater, shard.inbox_high_water() as u64);
+            perfcount::set_scope(prev);
             exchanged += (shard.fills_out.len() + shard.completions_out.len()) as u64;
             self.fills.absorb_run(&mut shard.fills_out);
             self.completions.absorb_run(&mut shard.completions_out);
-            if perfcount::ENABLED {
-                let prev = perfcount::set_scope(1 + shard.channel_idx());
-                perfcount::hi(Counter::ArenaHighWater, shard.inbox_high_water() as u64);
-                perfcount::set_scope(prev);
-            }
             if on_grid {
                 self.ingress_seen[shard.channel_idx()] = shard.inbox.len();
                 self.ingress_unseen[shard.channel_idx()] = 0;
@@ -1161,6 +1083,9 @@ impl ChopimSystem {
         let h = h.min(limit);
         if h > self.now {
             for shard in &mut self.shards {
+                let prev = perfcount::set_scope(1 + shard.channel_idx());
+                perfcount::add(Counter::HorizonLeapCycles, h - shard.now);
+                perfcount::set_scope(prev);
                 shard.skip_to(h);
             }
             self.fe_skip_to(h);
@@ -1207,8 +1132,7 @@ impl ChopimSystem {
 
     /// The engine driver behind every public drive entry point: advance
     /// in lookahead windows until `end`, stopping as soon as `ctrl`
-    /// returns `true`. `ctrl` may mutate the runtime (stream pumping and
-    /// the deprecated relaunch shim ride on this) and is re-evaluated
+    /// returns `true`. `ctrl` may mutate the runtime and is re-evaluated
     /// around every front-end cycle — a stop-triggering cycle is never
     /// skipped past, so the consumed-cycle count matches the naive loop
     /// — and shards always end synced to `self.now`.
@@ -1300,42 +1224,6 @@ impl ChopimSystem {
         self.streams[id.0].active = false;
         self.stream_of.remove(&self.streams[id.0].cur);
         self.streams[id.0].completions
-    }
-
-    /// Run until every launched op has completed (or `max` cycles).
-    /// Returns the cycles consumed.
-    #[deprecated(note = "use drive(Waitable::Quiescent, max)")]
-    pub fn run_until_quiescent(&mut self, max: Cycle) -> Cycle {
-        self.drive(Waitable::Quiescent, max)
-    }
-
-    /// Run for `cycles`, relaunching the NDA workload whenever it
-    /// completes so concurrent access persists for the whole window — the
-    /// paper's methodology (§VI). Returns the number of completions.
-    #[deprecated(note = "use spawn_stream(sess, make) + run(cycles)")]
-    pub fn run_relaunching(
-        &mut self,
-        cycles: Cycle,
-        mut make: impl FnMut(&mut Runtime) -> OpHandle,
-    ) -> u64 {
-        let end = self.now + cycles;
-        let mut op = make(&mut self.runtime);
-        let mut completions = 0;
-        self.drive_loop(end, &mut |rt| {
-            if rt.op_done(op) {
-                completions += 1;
-                op = make(rt);
-            }
-            false
-        });
-        completions
-    }
-
-    /// Run until `op` completes (or `max` cycles). Returns cycles
-    /// consumed.
-    #[deprecated(note = "use drive(op, max)")]
-    pub fn run_until_op(&mut self, op: OpHandle, max: Cycle) -> Cycle {
-        self.drive(op, max)
     }
 
     /// True while every host-side shadow FSM matches its rank's FSM.
@@ -1484,10 +1372,10 @@ impl ChopimSystem {
 
     /// Stable fingerprint of the *semantic* configuration: every knob
     /// that shapes machine structure or simulated behavior, and none of
-    /// the engine-mode knobs (`sim_threads`, `fixed_window`,
-    /// `fast_forward`, `verify_fsm`, `trace_path`) — a snapshot captured
-    /// under one engine mode may legitimately resume under another,
-    /// since all modes produce bit-identical schedules.
+    /// the engine-mode knobs (`fast_forward`, `verify_fsm`,
+    /// `trace_path`) — a snapshot captured under one engine mode may
+    /// legitimately resume under another, since all modes produce
+    /// bit-identical schedules.
     #[cold]
     fn snapshot_fingerprint(cfg: &ChopimConfig) -> u64 {
         let desc = format!(
@@ -1611,10 +1499,9 @@ impl ChopimSystem {
     ///
     /// `cfg` must agree with the capture's configuration on every
     /// semantic knob (checked via the embedded fingerprint); the
-    /// engine-mode knobs (`sim_threads`, `fixed_window`, `fast_forward`,
-    /// `verify_fsm`, `trace_path`) are free — resuming one image under
-    /// serial, pooled, and fixed-window engines produces bit-identical
-    /// [`SimReport`]s.
+    /// engine-mode knobs (`fast_forward`, `verify_fsm`, `trace_path`) are
+    /// free — resuming one image under the naive and fast-forwarding
+    /// loops produces bit-identical [`SimReport`]s.
     ///
     /// # Errors
     ///
@@ -1876,8 +1763,9 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"CHSS";
 /// runtime: per-op submission stamps, per-session QoS class /
 /// virtual-time / admission limits / job table / metering, the per-band
 /// virtual clocks, pending admissions, and the finished-op feed (the
-/// ready index itself is derived and rebuilt on resume).
-const SNAPSHOT_VERSION: u32 = 3;
+/// ready index itself is derived and rebuilt on resume). v4 dropped the
+/// per-shard cached horizon, which only the removed barrier skip read.
+const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why [`ChopimSystem::snapshot`] refused to capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

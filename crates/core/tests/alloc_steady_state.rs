@@ -1,7 +1,7 @@
 //! Steady-state allocation audit of the sharded engine's message path.
 //!
 //! The flat-exchange overhaul (double-buffered ingress arenas, batch
-//! merge queues, the dense launch slab, persistent pool slots) exists so
+//! merge queues, the dense launch slab) exists so
 //! that a warmed-up engine moves cross-shard messages without touching
 //! the allocator: every window swaps and refills buffers whose capacity
 //! was established during warm-up. This test pins that property with a
@@ -44,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// A memory-intensive host mix on the serial engine: every window moves
+/// A memory-intensive host mix: every window moves
 /// core transactions out and fills back across the shard boundary, and
 /// after warm-up none of it may allocate.
 #[test]
@@ -52,7 +52,6 @@ fn steady_state_message_path_is_allocation_free() {
     let _audit = AUDIT.lock().unwrap();
     let mut sys = ChopimSystem::new(ChopimConfig {
         mix: Some(MixId::new(2).unwrap()),
-        sim_threads: 1,
         ..ChopimConfig::default()
     });
     // Warm-up: reach steady state — queue capacities, arena sizes, memo
@@ -81,10 +80,7 @@ fn steady_state_message_path_is_allocation_free() {
 #[test]
 fn thousand_tenant_scheduler_is_allocation_free() {
     let _audit = AUDIT.lock().unwrap();
-    let mut sys = ChopimSystem::new(ChopimConfig {
-        sim_threads: 1,
-        ..ChopimConfig::default()
-    });
+    let mut sys = ChopimSystem::new(ChopimConfig::default());
     let n = 1 << 13;
     let vecs: Vec<VecId> = (0..16)
         .map(|_| sys.runtime.vector(n, Sharing::Shared))

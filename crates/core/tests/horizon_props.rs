@@ -1,8 +1,8 @@
 //! Property tests of the per-shard computed horizons that drive the
-//! sharded engine's barrier skipping.
+//! sharded engine's fast-forward.
 //!
-//! The front-end lets a shard skip a window barrier when the shard's
-//! cached horizon ([`quiet_until`]) reaches past the window — so the
+//! A shard leaps over cycles before its horizon — inside a window, and
+//! machine-wide when every component is idle at a barrier — so the
 //! whole scheme is sound only if a horizon claim is *conservative*: a
 //! shard claiming "no activity before cycle `h`" must never produce a
 //! cross-shard message stamped earlier than `h` when simply run
@@ -11,9 +11,9 @@
 //! point, asks every shard for its horizon, then runs the shards ahead
 //! in isolation and checks every message they emit against the claim.
 //!
-//! The thread-count and fixed-window lockstep suites
-//! (`chopim-exp/tests/shard_lockstep.rs`) prove the *end-to-end*
-//! schedule is unchanged by skipping; this suite pins the local
+//! The naive-vs-fast lockstep suite (`chopim-exp/tests/ff_lockstep.rs`)
+//! proves the *end-to-end* schedule is unchanged by skipping; this
+//! suite pins the local
 //! invariant that makes those hold, in a form that fails with the
 //! offending shard and cycle when a future horizon term goes stale.
 

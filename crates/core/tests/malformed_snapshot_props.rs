@@ -5,6 +5,7 @@
 //! records, per-op recovery fields).
 
 use chopim_core::prelude::*;
+use chopim_dram::codec::{fnv1a, CodecError};
 use proptest::prelude::*;
 
 fn cfg() -> ChopimConfig {
@@ -87,4 +88,21 @@ fn well_formed_image_still_resumes() {
     let image = good_image();
     let mut sys = ChopimSystem::resume(cfg(), &image).expect("clean image resumes");
     sys.run(2_000);
+}
+
+/// A well-framed image from the previous format version (v3, which
+/// still carried the per-shard cached horizon) is refused by version,
+/// before any payload decoding. The trailer is re-computed so only the
+/// version field differs from a current image.
+#[test]
+fn previous_version_image_is_refused() {
+    let mut old = good_image();
+    old[4..8].copy_from_slice(&3u32.to_le_bytes());
+    let end = old.len() - 8;
+    let sum = fnv1a(&old[..end]);
+    old[end..].copy_from_slice(&sum.to_le_bytes());
+    assert!(matches!(
+        ChopimSystem::resume(cfg(), &old),
+        Err(CodecError::BadVersion(3))
+    ));
 }

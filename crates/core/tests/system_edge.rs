@@ -227,41 +227,6 @@ fn stopped_stream_lets_machine_quiesce() {
     assert_eq!(sys.stream_completions(id), n, "no relaunches after stop");
 }
 
-/// The deprecated single-tenant entry points must keep working (they are
-/// thin shims over sessions, the DAG stager, and `drive`).
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_work() {
-    let mut sys = ChopimSystem::new(cfg());
-    let x = sys.runtime.vector(1 << 12, Sharing::Shared);
-    let y = sys.runtime.vector(1 << 12, Sharing::Shared);
-    sys.runtime.write_vector(x, &vec![2.0; 1 << 12]);
-    let op = sys.runtime.launch_elementwise(
-        Opcode::Copy,
-        vec![],
-        vec![x],
-        Some(y),
-        LaunchOpts::default(),
-    );
-    sys.run_until_op(op, 10_000_000);
-    assert!(sys.runtime.op_done(op));
-    assert_eq!(sys.runtime.read_vector(y)[7], 2.0);
-
-    let n = sys.run_relaunching(30_000, |rt| {
-        rt.launch_elementwise(
-            Opcode::Scal,
-            vec![1.0],
-            vec![],
-            Some(y),
-            LaunchOpts::default(),
-        )
-    });
-    assert!(n > 0, "relaunching shim must complete ops");
-    let used = sys.run_until_quiescent(10_000_000);
-    assert!(used < 10_000_000);
-    assert!(sys.runtime.quiescent());
-}
-
 #[test]
 fn realignment_copy_inherits_dag_edges() {
     // An unordered op with a cross-session parent and a color-mismatched

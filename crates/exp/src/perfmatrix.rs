@@ -75,8 +75,6 @@ pub fn perf_matrix(w: u64) -> Vec<(&'static str, ScenarioSpec)> {
     // Wide-machine scenarios: the production-scale geometry the
     // channel-sharded engine exists for — 8 channels (16 NDA ranks) with
     // proportionally more host cores (mix0's 8 memory-intensive cores).
-    // `chopim-perf` additionally measures these with a 4-thread worker
-    // pool to gate the parallel-vs-serial speedup.
     let mut wide_host = ScenarioSpec::with_window(w);
     wide_host.cfg.dram = DramConfig::table_ii().with_channels(8);
     wide_host.cfg.mix = MixId::new(0);
@@ -96,8 +94,7 @@ pub fn perf_matrix(w: u64) -> Vec<(&'static str, ScenarioSpec)> {
     // The 16-channel tier of the same pair (32 NDA ranks): twice the
     // shard count stresses the barrier/exchange machinery — per-shard
     // horizons and the flat exchange have to hold their per-window cost
-    // flat as shards multiply, and the speedup gate gets a point with
-    // more shards than worker threads.
+    // flat as shards multiply.
     let mut wide_host_16 = ScenarioSpec::with_window(w);
     wide_host_16.cfg.dram = DramConfig::table_ii().with_channels(16);
     wide_host_16.cfg.mix = MixId::new(0);
@@ -167,8 +164,8 @@ pub fn perf_matrix(w: u64) -> Vec<(&'static str, ScenarioSpec)> {
     // compute faults, FSM hangs, dropped and delayed completions, plus a
     // mid-window rank death — the recovery machinery (retry staging,
     // inflight timeout scan, quarantine re-shard) all on the hot path.
-    // The lockstep suites pin its schedule across thread counts and
-    // loop variants; `chopim-perf` measures what the fault plane costs
+    // The lockstep suites pin its schedule across the naive and fast
+    // loops; `chopim-perf` measures what the fault plane costs
     // when it is actually firing.
     let mut faulty = ScenarioSpec::with_window(w);
     faulty.cfg.dram = DramConfig::table_ii().with_channels(8);

@@ -232,3 +232,16 @@ fn lockstep_closed_page_fcfs() {
     spec.workload = Workload::elementwise(Opcode::Dot, 1 << 15);
     assert_lockstep("closed_page_fcfs", &spec, 9);
 }
+
+/// `completion_latency = 1` shrinks the lookahead window to a single
+/// cycle, so the front-end and every shard meet at a barrier each cycle:
+/// the in-window fast-forward never gets room to skip, and the global
+/// idle leap is the only skip left to keep exact.
+#[test]
+fn lockstep_single_cycle_window() {
+    let mut spec = ScenarioSpec::with_window(window().min(3_000));
+    spec.cfg.mix = MixId::new(4);
+    spec.cfg.completion_latency = 1;
+    spec.workload = Workload::elementwise(Opcode::Copy, 1 << 14);
+    assert_lockstep("single_cycle_window", &spec, 13);
+}

@@ -7,8 +7,8 @@
 //!
 //! * **Warm-start lockstep over the perf matrix**: for every scenario in
 //!   the shared `chopim_exp::perf_matrix`, run a warm-up prefix, fork a
-//!   snapshot, and check that resuming under serial, 2-thread, and
-//!   fixed-window engines all reproduce the cold-path oracle
+//!   snapshot, and check that resuming under the fast-forwarding and
+//!   naive loops both reproduce the cold-path oracle
 //!   ([`run_scenario_prefixed`]) bit-for-bit. The prefix is deliberately
 //!   off the lookahead-window grid, so mid-window ingress accounting,
 //!   refresh phases, and the CPU-clock divider are all captured
@@ -43,34 +43,26 @@ fn window() -> u64 {
 /// capture point sits mid-window.
 const PREFIX: u64 = 4_003;
 
-/// Cold oracle vs snapshot-resume under {serial, 2-thread,
-/// fixed-window}: all four reports must be bit-identical.
+/// Cold oracle vs snapshot-resume under the fast-forwarding and naive
+/// loops: all three reports must be bit-identical.
 fn assert_snapshot_lockstep(name: &str, spec: &ScenarioSpec, seed: u64) {
     let mut spec = spec.clone();
     spec.seed = seed;
-    spec.cfg.sim_threads = 1;
-    spec.cfg.fixed_window = false;
+    spec.cfg.fast_forward = true;
     let oracle = run_scenario_prefixed(&spec, PREFIX);
     let image = capture_prefix(&spec, PREFIX);
 
-    let serial = run_scenario_from(&spec, &image);
-    assert_eq!(
-        oracle, serial,
-        "serial resume diverged from the cold run on `{name}` (seed {seed})"
-    );
-    let mut par = spec.clone();
-    par.cfg.sim_threads = 2;
     assert_eq!(
         oracle,
-        run_scenario_from(&par, &image),
-        "2-thread resume diverged from the cold run on `{name}` (seed {seed})"
+        run_scenario_from(&spec, &image),
+        "fast resume diverged from the cold run on `{name}` (seed {seed})"
     );
-    let mut fixed = spec.clone();
-    fixed.cfg.fixed_window = true;
+    let mut naive = spec.clone();
+    naive.cfg.fast_forward = false;
     assert_eq!(
         oracle,
-        run_scenario_from(&fixed, &image),
-        "fixed-window resume diverged from the cold run on `{name}` (seed {seed})"
+        run_scenario_from(&naive, &image),
+        "naive resume diverged from the cold run on `{name}` (seed {seed})"
     );
 }
 
@@ -252,15 +244,10 @@ fn snapshot_mid_flight_dag() {
         let image = sys.snapshot().expect("no streams spawned yet");
         drop(sys);
 
-        for (label, threads, fixed) in [
-            ("serial", 1usize, false),
-            ("2-thread", 2, false),
-            ("fixed-window", 1, true),
-        ] {
+        for (label, fast_forward) in [("fast", true), ("naive", false)] {
             let mut cfg = base_cfg();
             cfg.seed = seed;
-            cfg.sim_threads = threads;
-            cfg.fixed_window = fixed;
+            cfg.fast_forward = fast_forward;
             let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
             assert_eq!(
                 oracle,
@@ -366,15 +353,10 @@ fn snapshot_mid_flight_qos_executor() {
         let image = sys.snapshot().expect("no streams spawned");
         drop(sys);
 
-        for (label, threads, fixed) in [
-            ("serial", 1usize, false),
-            ("2-thread", 2, false),
-            ("fixed-window", 1, true),
-        ] {
+        for (label, fast_forward) in [("fast", true), ("naive", false)] {
             let mut cfg = base_cfg();
             cfg.seed = seed;
-            cfg.sim_threads = threads;
-            cfg.fixed_window = fixed;
+            cfg.fast_forward = fast_forward;
             let resumed = ChopimSystem::resume(cfg, &image).expect("image must resume");
             assert_eq!(
                 oracle,
@@ -515,9 +497,8 @@ fn snapshot_rejects_damage_and_config_mismatch() {
     ));
     // Engine-mode knobs are free.
     let mut free = cfg();
-    free.sim_threads = 2;
-    free.fixed_window = true;
     free.fast_forward = false;
+    free.verify_fsm = false;
     assert!(ChopimSystem::resume(free, &image).is_ok());
 }
 
@@ -546,12 +527,10 @@ fn warm_start_sweep_matches_cold_runs() {
     base.workload = Workload::elementwise(Opcode::Axpy, 1 << 14);
 
     let mut p1 = base.clone();
-    p1.cfg.sim_threads = 2;
+    p1.cfg.fast_forward = false;
     let mut p2 = base.clone();
-    p2.cfg.fixed_window = true;
-    let mut p3 = base.clone();
-    p3.workload = Workload::elementwise(Opcode::Dot, 1 << 14);
-    let specs = vec![base.clone(), p1, p2, p3];
+    p2.workload = Workload::elementwise(Opcode::Dot, 1 << 14);
+    let specs = vec![base.clone(), p1, p2];
 
     let warm = SweepRunner::with_threads(2).run_warm_start(&base, prefix, &specs);
     assert_eq!(warm.points.len(), specs.len());

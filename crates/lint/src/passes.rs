@@ -27,17 +27,13 @@ const SIM_SCOPES: [&str; 4] = [
 const SHARD_SIDE: [&str; 2] = ["crates/core/src/shard.rs", "crates/core/src/sched.rs"];
 
 /// Front-end files: nothing here may name a shard-internal type.
-const FRONT_SIDE: [&str; 3] = [
-    "crates/core/src/system.rs",
-    "crates/core/src/runtime.rs",
-    "crates/core/src/par.rs",
-];
+const FRONT_SIDE: [&str; 2] = ["crates/core/src/system.rs", "crates/core/src/runtime.rs"];
 
 /// Identifiers a shard-side file must not mention: front-end-owned
 /// types plus the front-end module names themselves. Cross-boundary
 /// traffic goes through the typed messages in `exchange.rs`
 /// (which re-exports the shared vocabulary: `OpHandle`, handle codecs).
-const FRONT_OWNED: [&str; 14] = [
+const FRONT_OWNED: [&str; 12] = [
     "Runtime",
     "Session",
     "ChopimSystem",
@@ -46,12 +42,10 @@ const FRONT_OWNED: [&str; 14] = [
     "OooCoreState",
     "MergeQueue",
     "Waitable",
-    "ShardPool",
     "StreamId",
     "SimReport",
     "runtime",
     "system",
-    "par",
 ];
 
 /// Identifiers a front-end file must not mention: shard-internal

@@ -45,13 +45,6 @@
 //!   advisory elsewhere). The `faulty_colocated_8ch` scenario runs with
 //!   an *active* plan, so its row tracks what injection + recovery cost
 //!   when actually firing.
-//! * The wide 8- and 16-channel scenarios additionally run with a
-//!   4-thread shard worker pool (`sim_threads = 4`); the harness asserts
-//!   the parallel report is bit-identical to the serial one and records
-//!   the parallel-vs-serial speedup. `--check` enforces a floor on that
-//!   speedup scaled to the machine: ≥2x with 8+ hardware threads (hard
-//!   failure), ≥1.2x advisory (warning only) with 4-7, skipped below 4,
-//!   where the pool cannot physically win.
 
 #![forbid(unsafe_code)]
 
@@ -115,44 +108,6 @@ const ABSOLUTE_FLOOR: f64 = 0.95;
 /// (warning only) otherwise.
 const FAULT_OVERHEAD_FLOOR: f64 = 0.98;
 
-/// Worker threads for the parallel measurement of the wide scenarios.
-const PAR_THREADS: usize = 4;
-
-/// Scenarios measured with the shard worker pool as well.
-const PAR_SCENARIOS: &[&str] = &[
-    "wide_host_8ch",
-    "wide_colocated_8ch",
-    "wide_host_16ch",
-    "wide_colocated_16ch",
-];
-
-/// How the parallel-vs-serial floor applies on this machine.
-enum ParGate {
-    /// Enough cores that the pool must win decisively: failing the
-    /// floor fails the gate.
-    Enforced(f64),
-    /// Exactly as many cores as workers (small CI runners): the floor
-    /// is advisory — measured and reported, but contention with the OS
-    /// and the dispatcher makes a hard gate flaky, so a miss only
-    /// warns.
-    Advisory(f64),
-    /// Too few cores to host the workers; the ratio is meaningless.
-    Skip,
-}
-
-fn par_gate() -> ParGate {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if cores >= 2 * PAR_THREADS {
-        ParGate::Enforced(2.0)
-    } else if cores >= PAR_THREADS {
-        ParGate::Advisory(1.2)
-    } else {
-        ParGate::Skip
-    }
-}
-
 struct Measurement {
     name: &'static str,
     cycles: u64,
@@ -160,19 +115,11 @@ struct Measurement {
     wall_ms_fast: f64,
     cps_naive: f64,
     cps_fast: f64,
-    /// Fast loop on the `PAR_THREADS`-worker pool (wide scenarios only).
-    wall_ms_par: Option<f64>,
-    cps_par: Option<f64>,
 }
 
 impl Measurement {
     fn speedup(&self) -> f64 {
         self.cps_fast / self.cps_naive
-    }
-
-    /// Parallel-vs-serial throughput ratio (both on the fast loop).
-    fn par_speedup(&self) -> Option<f64> {
-        self.cps_par.map(|p| p / self.cps_fast)
     }
 }
 
@@ -189,15 +136,13 @@ fn reps() -> usize {
 }
 
 fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
-    let run = |ff: bool, threads: usize| {
+    let run = |ff: bool| {
         let mut s = spec.clone();
         s.cfg.fast_forward = ff;
-        s.cfg.sim_threads = threads;
         let t0 = Instant::now();
         let report = run_scenario(&s);
         (t0.elapsed().as_secs_f64() * 1e3, report)
     };
-    let measure_par = PAR_SCENARIOS.contains(&name);
     // Warm up allocator/caches on a short window so the first timed run
     // does not pay one-time process costs.
     {
@@ -209,25 +154,15 @@ fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
     // machine load then degrades both alike instead of skewing the ratio.
     let mut wall_ms_naive = f64::INFINITY;
     let mut wall_ms_fast = f64::INFINITY;
-    let mut wall_ms_par = f64::INFINITY;
     let mut cycles = 0;
     for _ in 0..reps() {
-        let (t_naive, naive) = run(false, 1);
-        let (t_fast, fast) = run(true, 1);
+        let (t_naive, naive) = run(false);
+        let (t_fast, fast) = run(true);
         assert_eq!(
             naive, fast,
             "fast-forward diverged from the naive loop on `{name}`; \
              run `cargo test -p chopim-exp --test ff_lockstep`"
         );
-        if measure_par {
-            let (t_par, par) = run(true, PAR_THREADS);
-            assert_eq!(
-                fast, par,
-                "{PAR_THREADS}-thread execution diverged from serial on `{name}`; \
-                 run `cargo test -p chopim-exp --test shard_lockstep`"
-            );
-            wall_ms_par = wall_ms_par.min(t_par);
-        }
         wall_ms_naive = wall_ms_naive.min(t_naive);
         wall_ms_fast = wall_ms_fast.min(t_fast);
         cycles = naive.cycles;
@@ -239,8 +174,6 @@ fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
         wall_ms_fast,
         cps_naive: cycles as f64 / (wall_ms_naive / 1e3),
         cps_fast: cycles as f64 / (wall_ms_fast / 1e3),
-        wall_ms_par: measure_par.then_some(wall_ms_par),
-        cps_par: measure_par.then(|| cycles as f64 / (wall_ms_par / 1e3)),
     }
 }
 
@@ -333,8 +266,6 @@ fn measure_warm_start() -> Measurement {
         wall_ms_fast: wall_ms_warm,
         cps_naive: cycles as f64 / (wall_ms_cold / 1e3),
         cps_fast: cycles as f64 / (wall_ms_warm / 1e3),
-        wall_ms_par: None,
-        cps_par: None,
     }
 }
 
@@ -342,7 +273,7 @@ fn measure_warm_start() -> Measurement {
 /// bracketed by counter reset/snapshot and print the per-phase simulator
 /// costs — one table row per channel shard plus the front-end and a
 /// total — so a throughput regression is attributable to a hot path
-/// *and* a shard, and parallel runs attribute work correctly.
+/// *and* a shard.
 fn report_counters(name: &str, spec: &ScenarioSpec) {
     if !perfcount::ENABLED {
         eprintln!("  (build with --features perf-counters for per-phase counters on `{name}`)");
@@ -385,8 +316,8 @@ fn to_json(results: &[Measurement]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"window_cycles\": {},\n", window()));
-    // Parallel-speedup numbers are only meaningful relative to this:
-    // a 1-thread container records the pool's pure overhead.
+    // Absolute cycles/sec only transfer between machines with the same
+    // hardware-thread count (the fault-overhead gate reads this back).
     out.push_str(&format!(
         "  \"hardware_threads\": {},\n",
         std::thread::available_parallelism()
@@ -410,11 +341,6 @@ fn to_json(results: &[Measurement]) -> String {
             m.cps_fast,
             m.speedup()
         ));
-        if let (Some(wall), Some(cps), Some(sp)) = (m.wall_ms_par, m.cps_par, m.par_speedup()) {
-            out.push_str(&format!(
-                ", \"wall_ms_par\": {wall:.3}, \"cps_par\": {cps:.0}, \"par_speedup\": {sp:.3}"
-            ));
-        }
         out.push('}');
     }
     out.push_str("\n  ]\n}\n");
@@ -579,38 +505,6 @@ fn check(results: &[Measurement], baseline_path: &str, filter: Option<&str>) -> 
             }
         }
     }
-    // Parallel-vs-serial floor on the wide scenarios, scaled to the
-    // machine (the worker pool cannot win on a machine without cores).
-    match par_gate() {
-        ParGate::Enforced(floor) => {
-            for m in results {
-                let Some(sp) = m.par_speedup() else { continue };
-                if sp < floor {
-                    failures.push(format!(
-                        "`{}` parallel speedup {:.2}x < {:.2}x floor \
-                         ({PAR_THREADS} threads; sharded engine must beat serial here)",
-                        m.name, sp, floor
-                    ));
-                }
-            }
-        }
-        ParGate::Advisory(floor) => {
-            for m in results {
-                let Some(sp) = m.par_speedup() else { continue };
-                if sp < floor {
-                    eprintln!(
-                        "perf gate: WARNING `{}` parallel speedup {:.2}x < {:.2}x \
-                         advisory floor (machine has only ~{PAR_THREADS} hardware threads)",
-                        m.name, sp, floor
-                    );
-                }
-            }
-        }
-        ParGate::Skip => eprintln!(
-            "perf gate: skipping parallel-speedup floor \
-             (machine has < {PAR_THREADS} hardware threads)"
-        ),
-    }
     // Per-scenario absolute floors (independent of the baseline file).
     for m in results {
         let floor = SPEEDUP_FLOORS
@@ -692,12 +586,6 @@ fn main() {
                 m.name, m.cycles, m.wall_ms_naive, m.cps_naive, m.wall_ms_fast, m.cps_fast,
                 m.speedup()
             );
-            if let (Some(wall), Some(cps), Some(sp)) = (m.wall_ms_par, m.cps_par, m.par_speedup()) {
-                eprintln!(
-                    "{:<18} {:>9} cycles  {PAR_THREADS}-thread pool {:>8.1} ms ({:>10.0} c/s)  parallel speedup {:.2}x",
-                    "", "", wall, cps, sp
-                );
-            }
             if verbose {
                 report_counters(name, spec);
             }
