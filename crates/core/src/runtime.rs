@@ -457,7 +457,7 @@ impl JobGraph {
         })
     }
 
-    /// Add a `y = A x` node; returns its node index.
+    /// Add a `y = A x` node (`y` must not be `x`); returns its node index.
     pub fn gemv(&mut self, y: VecId, a: MatId, x: VecId) -> usize {
         self.push(JobKind::Gemv { y, a, x })
     }
@@ -718,6 +718,10 @@ pub struct Runtime {
     /// upper half in rank-partitioning mode.
     // chopim-lint: allow(snapshot) -- rank placement derived deterministically from config at construction
     nda_ranks: Vec<(usize, usize)>,
+    /// Inverse of `nda_ranks`: NDA index of global rank
+    /// `channel * ranks_per_channel + rank`, `None` for host-only ranks.
+    // chopim-lint: allow(snapshot) -- derived from nda_ranks at construction
+    nda_of_rank: Vec<Option<usize>>,
     /// Rank-partition mode: layouts synthesized on dedicated ranks.
     // chopim-lint: allow(snapshot) -- partitioning mode derived from config at construction
     rank_partition: bool,
@@ -771,6 +775,10 @@ impl Runtime {
         rank_partition: bool,
     ) -> Self {
         let n = nda_ranks.len();
+        let mut nda_of_rank = vec![None; cfg.channels * cfg.ranks_per_channel];
+        for (i, &(c, r)) in nda_ranks.iter().enumerate() {
+            nda_of_rank[c * cfg.ranks_per_channel + r] = Some(i);
+        }
         Self {
             arrays: Vec::new(),
             sessions: vec![SessionState::default()],
@@ -786,6 +794,7 @@ impl Runtime {
             mapper,
             cfg,
             nda_ranks,
+            nda_of_rank,
             rank_partition,
             pa_order_walk: false,
             rp_next_row: vec![0; n],
@@ -940,34 +949,60 @@ impl Runtime {
             .alloc_shared(color, rows_needed)
             .or_else(|| self.allocator.alloc_host_colored(color, rows_needed))
             .expect("memory exhausted for NDA operands");
-        let mut chunk_lists: Vec<Vec<(u16, u32)>> = vec![Vec::new(); self.n_ndas];
-        let bpg = self.cfg.banks_per_group;
-        let rpc = self.cfg.ranks_per_channel;
+        let layouts = self.layouts_from(self.chunk_walk(&region));
+        (layouts, lines_per_rank, Some(region))
+    }
+
+    /// NDA index and chunk key `(global rank, flat bank, row)` of `pa`,
+    /// or `None` when its rank hosts no NDA.
+    fn chunk_of(&self, pa: u64) -> Option<(usize, (usize, u16, u32))> {
+        let d = self.mapper.map_pa(pa);
+        let g = d.channel * self.cfg.ranks_per_channel + d.rank;
+        let bank = d.flat_bank(self.cfg.banks_per_group) as u16;
+        self.nda_of_rank[g].map(|idx| (idx, (g, bank, d.row)))
+    }
+
+    /// Each NDA's `(bank, row)` chunks of `region`, in first-seen line
+    /// order per system row.
+    ///
+    /// Offsets that differ only in column-only line bits fall in one
+    /// chunk (the partition fix-up reads only bank and row), and the
+    /// lowest of them has those bits clear. Visiting just the offsets
+    /// with them clear, in increasing order, therefore sees every chunk
+    /// in the same first-seen order as a walk over every line, at one
+    /// translation per DRAM chunk instead of one per line.
+    fn chunk_walk(&self, region: &Region) -> Vec<Vec<(u16, u32)>> {
+        let row_lines = self.cfg.system_row_bytes() / 64;
+        let skip = self.mapper.inner().col_only_mask() & (row_lines - 1);
+        let mut chunk_lists = vec![Vec::new(); self.n_ndas];
         for sysrow in &region.rows {
-            // Collect each rank's (bank, row) chunks for this system row.
-            let mut seen: BTreeSet<(usize, u16, u32)> = BTreeSet::new();
+            let mut seen = BTreeSet::new();
             let base_pa = u64::from(sysrow.index) * self.cfg.system_row_bytes();
-            for l in 0..row_lines {
-                let d = self.mapper.map_pa(base_pa + l * 64);
-                let g = d.channel * rpc + d.rank;
-                let idx = self
-                    .nda_ranks
-                    .iter()
-                    .position(|&(c, r)| (c, r) == (d.channel, d.rank));
-                let Some(idx) = idx else { continue };
-                let key = (g, d.flat_bank(bpg) as u16, d.row);
-                if seen.insert(key) {
-                    chunk_lists[idx].push((d.flat_bank(bpg) as u16, d.row));
+            let mut l = 0;
+            while l < row_lines {
+                if let Some((idx, key)) = self.chunk_of(base_pa + l * 64) {
+                    if seen.insert(key) {
+                        chunk_lists[idx].push((key.1, key.2));
+                    }
                 }
+                // Next offset with every `skip` bit clear.
+                l = ((l | skip) + 1) & !skip;
             }
         }
+        chunk_lists
+    }
+
+    /// Turn per-NDA chunk lists into operand layouts.
+    fn layouts_from(&self, chunk_lists: Vec<Vec<(u16, u32)>>) -> Vec<Arc<OperandLayout>> {
+        let lpc = self.cfg.lines_per_row() as u64;
+        let row_lines = self.cfg.system_row_bytes() / 64;
         // Chopim's layout lets the microcode stream contiguous columns of
         // one bank row per 1 KB-per-chip batch (Fig. 3/Fig. 9). The
         // `pa_order_walk` ablation instead rotates lines across all banks
         // of the rank (the walk a naive layout would force), destroying
         // row locality under host interference.
-        let group = (row_lines / ranks / lpc).max(1) as u32;
-        let layouts = chunk_lists
+        let group = (row_lines / self.n_ndas as u64 / lpc).max(1) as u32;
+        chunk_lists
             .into_iter()
             .map(|c| {
                 if self.pa_order_walk && (c.len() as u32).is_multiple_of(group) {
@@ -976,8 +1011,7 @@ impl Runtime {
                     OperandLayout::new(c, lpc as u32)
                 }
             })
-            .collect();
-        (layouts, lines_per_rank, Some(region))
+            .collect()
     }
 
     /// Allocate a host-only footprint region of `rows` system rows,
@@ -1341,6 +1375,7 @@ impl Runtime {
         let (rows, cols) = self.arrays[a.0].shape.expect("matrix");
         assert_eq!(self.arrays[x.0].len, cols, "x length != cols");
         assert_eq!(self.arrays[y.0].len, rows, "y length != rows");
+        assert_ne!(y, x, "GEMV output y must not alias input x");
         let a_per_rank = self.arrays[a.0].lines_per_rank.min(
             ((rows * cols * 4) as u64)
                 .div_ceil(64)
@@ -2165,16 +2200,25 @@ impl Runtime {
                 self.add_activity(stats);
             }
             OpKind::Gemv { y, a, x } => {
+                assert!(y.0 != a.0 && y.0 != x.0, "GEMV output aliases an input");
                 let (rows, cols) = self.arrays[a.0].shape.expect("matrix");
-                let a_data = self.arrays[a.0].backing.clone();
-                let x_data = self.arrays[x.0].backing.clone();
-                let stats =
-                    pe::execute_gemv(&a_data, &x_data, &mut self.arrays[y.0].backing, rows, cols);
+                // Move y out so A and x are read in place, not cloned.
+                let mut y_data = std::mem::take(&mut self.arrays[y.0].backing);
+                let stats = pe::execute_gemv(
+                    &self.arrays[a.0].backing,
+                    &self.arrays[x.0].backing,
+                    &mut y_data,
+                    rows,
+                    cols,
+                );
+                self.arrays[y.0].backing = y_data;
                 self.add_activity(stats);
             }
             OpKind::MacroAxpyRows { a_pvt, alphas, x } => {
                 let (_, cols) = self.arrays[x.0].shape.expect("matrix");
-                let x_data = self.arrays[x.0].backing.clone();
+                // Borrow X's data for the update (restored below) rather
+                // than cloning the whole matrix per completion.
+                let x_data = std::mem::take(&mut self.arrays[x.0].backing);
                 let owners = self.line_owners(*x, cols);
                 let lines_per_row = cols / 16;
                 let privates = self.arrays[a_pvt.0]
@@ -2194,6 +2238,7 @@ impl Runtime {
                         }
                     }
                 }
+                self.arrays[x.0].backing = x_data;
                 self.pe_activity.fmas += fmas;
                 self.pe_activity.buffer_accesses += fmas / 2;
             }
@@ -2210,14 +2255,11 @@ impl Runtime {
         match &a.region {
             Some(region) => {
                 let lines = ((a.len * 4) as u64).div_ceil(64);
-                let rpc = self.cfg.ranks_per_channel;
                 (0..lines)
                     .map(|l| {
                         let d = self.mapper.map_pa(region.pa_of(l * 64));
-                        self.nda_ranks
-                            .iter()
-                            .position(|&(c, r)| (c, r) == (d.channel, d.rank))
-                            .unwrap_or((d.channel * rpc + d.rank) % self.n_ndas)
+                        let g = d.channel * self.cfg.ranks_per_channel + d.rank;
+                        self.nda_of_rank[g].unwrap_or(g % self.n_ndas)
                     })
                     .collect()
             }
@@ -2766,6 +2808,9 @@ impl Runtime {
                     });
                 }
                 let row_bytes = r.varint()?;
+                if row_bytes != self.cfg.system_row_bytes() {
+                    return Err(CodecError::Corrupt("region row size"));
+                }
                 let color = if r.bool()? {
                     Some(Color(r.varint_u32()?))
                 } else {
@@ -3450,7 +3495,7 @@ impl Session {
     }
 
     /// Build `y = A x` (one instruction per rank; A streams, x/y live in
-    /// the scratchpad).
+    /// the scratchpad). `y` must not be `x`: submission panics otherwise.
     pub fn gemv<'rt>(self, rt: &'rt mut Runtime, y: VecId, a: MatId, x: VecId) -> OpBuilder<'rt> {
         OpBuilder::new(rt, self, BuildKind::Gemv { y, a, x })
     }
@@ -3483,4 +3528,106 @@ impl Session {
 /// tails reuse the final span; functional results are exact regardless).
 fn x_layout_guard(a: &ArrayData, span: u64) -> u64 {
     a.layouts[0].lines().saturating_sub(span)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::system::{ChopimConfig, ChopimSystem};
+
+    impl Runtime {
+        /// The walk [`Runtime::chunk_walk`] shortens: translate every line
+        /// of every system row.
+        fn chunk_walk_per_line(&self, region: &Region) -> Vec<Vec<(u16, u32)>> {
+            let row_lines = self.cfg.system_row_bytes() / 64;
+            let mut chunk_lists = vec![Vec::new(); self.n_ndas];
+            for sysrow in &region.rows {
+                let mut seen = BTreeSet::new();
+                let base_pa = u64::from(sysrow.index) * self.cfg.system_row_bytes();
+                for l in 0..row_lines {
+                    if let Some((idx, key)) = self.chunk_of(base_pa + l * 64) {
+                        if seen.insert(key) {
+                            chunk_lists[idx].push((key.1, key.2));
+                        }
+                    }
+                }
+            }
+            chunk_lists
+        }
+    }
+
+    /// Allocate operands on a machine built from `cfg` and check every
+    /// array's layouts against the per-line reference walk.
+    fn assert_walks_agree(cfg: ChopimConfig, alloc: impl FnOnce(&mut Runtime)) {
+        let mut sys = ChopimSystem::new(cfg);
+        alloc(&mut sys.runtime);
+        let rt = &sys.runtime;
+        assert!(!rt.arrays.is_empty());
+        for (i, a) in rt.arrays.iter().enumerate() {
+            let region = a.region.as_ref().expect("shared-mode arrays own a region");
+            let reference = rt.layouts_from(rt.chunk_walk_per_line(region));
+            assert_eq!(a.layouts, reference, "array {i}");
+        }
+    }
+
+    fn vector_and_matrix(rt: &mut Runtime) {
+        rt.vector(4096, Sharing::Shared);
+        rt.matrix(64, 16384);
+        rt.vector(100, Sharing::Private);
+    }
+
+    #[test]
+    fn chunk_walk_matches_per_line_walk_on_8_channels() {
+        let cfg = ChopimConfig {
+            dram: DramConfig::table_ii().with_channels(8),
+            ..ChopimConfig::default()
+        };
+        assert_walks_agree(cfg, vector_and_matrix);
+    }
+
+    #[test]
+    fn chunk_walk_matches_per_line_walk_on_2x4() {
+        let cfg = ChopimConfig {
+            dram: DramConfig::table_ii().with_ranks(4),
+            ..ChopimConfig::default()
+        };
+        assert_walks_agree(cfg, vector_and_matrix);
+    }
+
+    #[test]
+    fn chunk_walk_matches_per_line_walk_without_partitioning() {
+        // No reserved banks: operands come from `alloc_host_colored`.
+        let cfg = ChopimConfig {
+            reserved_banks: 0,
+            ..ChopimConfig::default()
+        };
+        assert_walks_agree(cfg, vector_and_matrix);
+    }
+
+    #[test]
+    fn chunk_walk_matches_per_line_walk_in_pa_order() {
+        let cfg = ChopimConfig {
+            nda_pa_order_walk: true,
+            ..ChopimConfig::default()
+        };
+        assert_walks_agree(cfg, vector_and_matrix);
+    }
+
+    #[test]
+    fn decode_rejects_a_region_row_size_off_the_geometry() {
+        // `Region::pa_of` splits offsets with a shift and a mask, so a
+        // restored region must keep the machine's power-of-two row size.
+        let mut sys = ChopimSystem::new(ChopimConfig::default());
+        sys.runtime.vector(4096, Sharing::Shared);
+        let region = sys.runtime.arrays[0].region.as_mut().expect("shared");
+        region.row_bytes += 64;
+        let mut w = ByteWriter::new();
+        sys.runtime.encode_state(&mut w);
+        let bytes = w.finish();
+        let mut fresh = ChopimSystem::new(ChopimConfig::default());
+        assert_eq!(
+            fresh.runtime.decode_state(&mut ByteReader::new(&bytes)),
+            Err(CodecError::Corrupt("region row size"))
+        );
+    }
 }

@@ -47,13 +47,19 @@ impl Region {
 
     /// Physical address of byte `offset` into the region.
     ///
+    /// `row_bytes` is a product of power-of-two geometry factors, so the
+    /// row split is a shift and a mask.
+    ///
     /// # Panics
     ///
     /// Panics if `offset >= len_bytes()`.
+    #[inline]
     pub fn pa_of(&self, offset: u64) -> Pa {
         assert!(offset < self.len_bytes(), "offset out of region");
-        let row = &self.rows[(offset / self.row_bytes) as usize];
-        u64::from(row.index) * self.row_bytes + (offset % self.row_bytes)
+        debug_assert!(self.row_bytes.is_power_of_two(), "row size not 2^k");
+        let shift = self.row_bytes.trailing_zeros();
+        let row = &self.rows[(offset >> shift) as usize];
+        (u64::from(row.index) << shift) | (offset & (self.row_bytes - 1))
     }
 }
 

@@ -6,6 +6,21 @@
 //! DRAMA work the paper cites) while staying analyzable: the mapping is a
 //! square bit matrix over GF(2) whose invertibility we verify at
 //! construction.
+//!
+//! # Byte-sliced evaluation
+//!
+//! Output bit `o` is `parity(line & mask_o)`, so the whole forward map is
+//! linear over GF(2): `map(a ^ b) == map(a) ^ map(b)`. Splitting the line
+//! index into bytes, `line = XOR_j (byte_j << 8j)`, therefore gives
+//! `map(line) = XOR_j T_j[byte_j]` with `T_j[v] = map(v << 8j)`.
+//!
+//! * Each table fills in one pass: `T_j[v] = T_j[v & (v - 1)] ^ T_j[low]`,
+//!   where `low` is the lowest set bit of `v` (its single-bit image).
+//! * Each entry packs all six output fields contiguously into one `u64`.
+//!
+//! A lookup is one load and XOR per line byte plus six shift/masks to
+//! unpack. It is exact by linearity, not an approximation. The inverse,
+//! rarely on a hot path, keeps the bit-serial form.
 
 use chopim_dram::{DramAddress, DramConfig};
 
@@ -49,6 +64,12 @@ pub struct OutBit {
 pub struct LinearMapping {
     bits: Vec<OutBit>,
     inverse: Vec<u64>,
+    /// `tables[j][v]`: packed image of line byte `j` holding `v` (see the
+    /// module docs).
+    tables: Vec<[u64; 256]>,
+    /// `(shift, mask)` of each field in a packed image, in [`OutField`]
+    /// declaration order.
+    fields: [(u32, u64); 6],
     line_bits: u32,
     banks_per_group: usize,
     /// Number of row bits (exposed for the partition remap).
@@ -81,6 +102,7 @@ impl LinearMapping {
             ));
         }
         let width = |f: OutField| bits.iter().filter(|b| b.field == f).count() as u32;
+        // In `OutField` declaration order, which is also the packing order.
         let expect = [
             (OutField::Col, config.lines_per_row().trailing_zeros()),
             (OutField::Channel, config.channels.trailing_zeros()),
@@ -96,9 +118,36 @@ impl LinearMapping {
         }
         let inverse = invert_gf2(&bits.iter().map(|b| b.mask).collect::<Vec<_>>(), line_bits)
             .ok_or("mapping matrix is singular (not a bijection)")?;
+        let mut fields = [(0u32, 0u64); 6];
+        let mut next = 0;
+        for (slot, (_, w)) in fields.iter_mut().zip(expect) {
+            *slot = (next, (1u64 << w) - 1);
+            next += w;
+        }
+        // Packed image of each single line bit, then the byte tables.
+        let mut unit = vec![0u64; line_bits as usize];
+        for b in &bits {
+            let pos = fields[b.field as usize].0 + b.bit;
+            for (k, u) in unit.iter_mut().enumerate() {
+                *u |= (b.mask >> k & 1) << pos;
+            }
+        }
+        let tables = unit
+            .chunks(8)
+            .map(|byte_units| {
+                let mut t = [0u64; 256];
+                for v in 1..256usize {
+                    let low = v.trailing_zeros() as usize;
+                    t[v] = t[v & (v - 1)] ^ byte_units.get(low).copied().unwrap_or(0);
+                }
+                t
+            })
+            .collect();
         Ok(Self {
             bits,
             inverse,
+            tables,
+            fields,
             line_bits,
             banks_per_group: config.banks_per_group,
             row_bits: config.rows.trailing_zeros(),
@@ -107,8 +156,30 @@ impl LinearMapping {
     }
 
     /// Map a cache-line index to a DRAM coordinate.
+    #[inline]
     pub fn map_line(&self, line: u64) -> DramAddress {
         debug_assert!(line < 1u64 << self.line_bits, "line index out of range");
+        let mut packed = 0u64;
+        for (j, t) in self.tables.iter().enumerate() {
+            packed ^= t[(line >> (8 * j)) as usize & 0xff];
+        }
+        let field = |i: usize| {
+            let (shift, mask) = self.fields[i];
+            (packed >> shift) & mask
+        };
+        DramAddress {
+            col: field(0) as u32,
+            channel: field(1) as usize,
+            bankgroup: field(2) as usize,
+            bank: field(3) as usize,
+            rank: field(4) as usize,
+            row: field(5) as u32,
+        }
+    }
+
+    /// The bit-serial evaluation the tables replace: the test oracle.
+    #[cfg(test)]
+    pub(crate) fn map_line_bitwise(&self, line: u64) -> DramAddress {
         let mut d = DramAddress::default();
         for b in &self.bits {
             let v = parity(line & b.mask);
@@ -159,6 +230,18 @@ impl LinearMapping {
             .iter()
             .filter(|b| matches!(b.field, OutField::Channel | OutField::Rank))
             .fold(0, |acc, b| acc | (b.mask & row_region))
+    }
+
+    /// Line-address bits that feed only column outputs. Flipping any of
+    /// them moves a line within its DRAM row: channel, rank, bank group,
+    /// bank and row stay put.
+    pub fn col_only_mask(&self) -> u64 {
+        let non_col = self
+            .bits
+            .iter()
+            .filter(|b| b.field != OutField::Col)
+            .fold(0, |acc, b| acc | b.mask);
+        !non_col & ((1u64 << self.line_bits) - 1)
     }
 
     /// Banks per group (needed to flatten bank ids).
@@ -275,7 +358,72 @@ mod tests {
         assert_eq!(m.rank_channel_row_mask().count_ones(), 3);
     }
 
+    /// Every preset × geometry the oracle tests cover.
+    fn oracle_mappings() -> Vec<(String, LinearMapping)> {
+        let mut out = Vec::new();
+        for ch in [1usize, 2, 8] {
+            for rk in [1usize, 2, 4, 8] {
+                let cfg = chopim_dram::DramConfig::table_ii()
+                    .with_channels(ch)
+                    .with_ranks(rk);
+                out.push((format!("skylake {ch}x{rk}"), presets::skylake_like(&cfg)));
+                out.push((format!("naive {ch}x{rk}"), presets::naive(&cfg)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tables_match_bitwise_oracle_on_single_bits_and_strides() {
+        for (name, m) in oracle_mappings() {
+            let top = 1u64 << m.line_bits();
+            let singles = (0..m.line_bits()).map(|b| 1u64 << b);
+            let strided = (0..top).step_by(((top >> 12) | 1) as usize);
+            for line in singles.chain(strided).chain([top - 1]) {
+                assert_eq!(
+                    m.map_line(line),
+                    m.map_line_bitwise(line),
+                    "{name}: line {line:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn col_only_bits_leave_the_chunk_key_alone() {
+        for (name, m) in oracle_mappings() {
+            let col_only = m.col_only_mask();
+            assert_ne!(col_only, 0, "{name}: some bit feeds only columns");
+            let line = 0x0ABC_DEF1u64 & ((1 << m.line_bits()) - 1);
+            let d0 = m.map_line(line);
+            for b in (0..m.line_bits()).filter(|b| col_only >> b & 1 == 1) {
+                let d1 = m.map_line(line ^ (1 << b));
+                assert_eq!(
+                    (d0.channel, d0.rank, d0.bankgroup, d0.bank, d0.row),
+                    (d1.channel, d1.rank, d1.bankgroup, d1.bank, d1.row),
+                    "{name}: bit {b}"
+                );
+            }
+        }
+    }
+
     proptest! {
+        /// The byte-sliced tables equal the bit-serial evaluation.
+        #[test]
+        fn prop_tables_match_bitwise_oracle(
+            line in 0u64..(1 << 40),
+            channels in prop::sample::select(vec![1usize, 2, 8]),
+            ranks in prop::sample::select(vec![1usize, 2, 4, 8]),
+            hashed in prop::sample::select(vec![true, false]),
+        ) {
+            let cfg = chopim_dram::DramConfig::table_ii()
+                .with_channels(channels)
+                .with_ranks(ranks);
+            let m = if hashed { presets::skylake_like(&cfg) } else { presets::naive(&cfg) };
+            let line = line & ((1 << m.line_bits()) - 1);
+            prop_assert_eq!(m.map_line(line), m.map_line_bitwise(line));
+        }
+
         #[test]
         fn prop_bijective(line in 0u64..(1 << 29)) {
             let cfg = chopim_dram::DramConfig::table_ii();

@@ -215,6 +215,14 @@ mod tests {
             prop_assert_ne!(m.map_pa(a << 6), m.map_pa(b << 6));
         }
 
+        /// Table-driven translation under the remap equals the fix-up of
+        /// the bit-serial oracle.
+        #[test]
+        fn prop_tables_match_bitwise_oracle(line in 0u64..(1u64 << 29), reserved in prop::sample::select(vec![0usize, 1, 2])) {
+            let (_, m) = mk(reserved);
+            prop_assert_eq!(m.map_pa(line << 6), m.fixup(m.inner().map_line_bitwise(line)));
+        }
+
         /// The fix-up is an involution on coordinates.
         #[test]
         fn prop_fixup_involution(line in 0u64..(1u64 << 29)) {

@@ -45,15 +45,20 @@
 //!   advisory elsewhere). The `faulty_colocated_8ch` scenario runs with
 //!   an *active* plan, so its row tracks what injection + recovery cost
 //!   when actually firing.
+//! * Every matrix row also reports `setup_ms`: the best-of-reps time of
+//!   `ChopimSystem::new` plus `spawn_spec_workload` (machine construction,
+//!   operand allocation and layout), the set-up slice `run_scenario`
+//!   pays before it simulates. It is reported, not gated.
 
 #![forbid(unsafe_code)]
 
 use std::time::Instant;
 
+use chopim_core::ChopimSystem;
 use chopim_dram::perfcount;
 use chopim_exp::{
-    bench_window, perf_matrix, run_scenario, run_scenario_prefixed, ScenarioSpec, SweepRunner,
-    Workload,
+    bench_window, perf_matrix, run_scenario, run_scenario_prefixed, spawn_spec_workload,
+    ScenarioSpec, SweepRunner, Workload,
 };
 
 /// Serial-overhead floor for `--check`: each scenario's fast/naive
@@ -115,6 +120,8 @@ struct Measurement {
     wall_ms_fast: f64,
     cps_naive: f64,
     cps_fast: f64,
+    /// Best-of-reps machine set-up time (`None` for `warm_start`).
+    setup_ms: Option<f64>,
 }
 
 impl Measurement {
@@ -133,6 +140,19 @@ fn reps() -> usize {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(3)
+}
+
+/// Time the set-up half of [`run_scenario`]: build the machine and spawn
+/// the workload, without simulating.
+fn time_setup(spec: &ScenarioSpec) -> f64 {
+    let mut cfg = spec.cfg.clone();
+    cfg.seed = spec.seed;
+    let workload = spec.workload.clone();
+    let t0 = Instant::now();
+    let mut sys = ChopimSystem::new(cfg);
+    spawn_spec_workload(&mut sys, workload);
+    // `sys` drops after the clock is read.
+    t0.elapsed().as_secs_f64() * 1e3
 }
 
 fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
@@ -154,8 +174,10 @@ fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
     // machine load then degrades both alike instead of skewing the ratio.
     let mut wall_ms_naive = f64::INFINITY;
     let mut wall_ms_fast = f64::INFINITY;
+    let mut setup_ms = f64::INFINITY;
     let mut cycles = 0;
     for _ in 0..reps() {
+        setup_ms = setup_ms.min(time_setup(spec));
         let (t_naive, naive) = run(false);
         let (t_fast, fast) = run(true);
         assert_eq!(
@@ -174,6 +196,7 @@ fn measure(name: &'static str, spec: &ScenarioSpec) -> Measurement {
         wall_ms_fast,
         cps_naive: cycles as f64 / (wall_ms_naive / 1e3),
         cps_fast: cycles as f64 / (wall_ms_fast / 1e3),
+        setup_ms: Some(setup_ms),
     }
 }
 
@@ -266,6 +289,7 @@ fn measure_warm_start() -> Measurement {
         wall_ms_fast: wall_ms_warm,
         cps_naive: cycles as f64 / (wall_ms_cold / 1e3),
         cps_fast: cycles as f64 / (wall_ms_warm / 1e3),
+        setup_ms: None,
     }
 }
 
@@ -341,6 +365,9 @@ fn to_json(results: &[Measurement]) -> String {
             m.cps_fast,
             m.speedup()
         ));
+        if let Some(ms) = m.setup_ms {
+            out.push_str(&format!(", \"setup_ms\": {ms:.3}"));
+        }
         out.push('}');
     }
     out.push_str("\n  ]\n}\n");
@@ -582,9 +609,9 @@ fn main() {
         .map(|(name, spec)| {
             let m = measure(name, spec);
             eprintln!(
-                "{:<18} {:>9} cycles  naive {:>8.1} ms ({:>10.0} c/s)  fast {:>8.1} ms ({:>10.0} c/s)  speedup {:.2}x",
+                "{:<18} {:>9} cycles  naive {:>8.1} ms ({:>10.0} c/s)  fast {:>8.1} ms ({:>10.0} c/s)  speedup {:.2}x  setup {:>6.2} ms",
                 m.name, m.cycles, m.wall_ms_naive, m.cps_naive, m.wall_ms_fast, m.cps_fast,
-                m.speedup()
+                m.speedup(), m.setup_ms.expect("matrix rows time their set-up")
             );
             if verbose {
                 report_counters(name, spec);
