@@ -18,7 +18,9 @@
 //!   submission (with the Fig.-10 granularity knob), dependency-aware
 //!   op-graph staging, macro ops, host-mediated reduction, QoS-class
 //!   arbitration over an O(active) ready index, and a batched-submission
-//!   executor with admission control ([`runtime::JobGraph`]);
+//!   executor with admission control ([`runtime::JobGraph`]). Builder
+//!   chains and job-graph nodes are one op request with one submission
+//!   path;
 //! * [`energy`] — the Table-II energy model;
 //! * [`report`] — the metrics the figures plot.
 //!

@@ -71,7 +71,8 @@ pub struct TenantReport {
     /// Ops that reached a non-`Completed` terminal state (failed, timed
     /// out, dep-failed — host fallbacks count as completed).
     pub ops_failed: u64,
-    /// Job graphs refused with `QueueFull` (admission backpressure).
+    /// Job graphs refused at submission: `QueueFull` (admission
+    /// backpressure) or `ExceedsCap` (the graph can never fit).
     pub jobs_rejected: u64,
     /// Cycles terminal ops spent live (submission to conclusion), summed.
     pub cycles_resident: u64,

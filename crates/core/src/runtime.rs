@@ -327,8 +327,11 @@ const QUANTUM: u64 = 1 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantLimits {
     /// Maximum live (submitted, not yet terminal) ops, realignment
-    /// copies included. A job graph that would exceed this is queued
-    /// instead of admitted.
+    /// copies included. A job graph's cost is its node count plus the
+    /// realignment copies its elementwise nodes insert. A graph whose
+    /// cost would take the session past this cap is queued instead of
+    /// admitted; one whose cost alone exceeds it is refused with
+    /// [`SubmitError::ExceedsCap`].
     pub max_inflight_ops: u32,
     /// Queued (accepted, not yet admitted) job graphs the session may
     /// hold; submitting past it fails with [`SubmitError::QueueFull`].
@@ -367,13 +370,17 @@ pub enum SubmitError {
     /// [`TenantLimits::queue_depth`]) is full. Deterministic
     /// backpressure — resubmit after the queue drains.
     QueueFull,
+    /// The graph's cost (nodes plus the realignment copies they insert)
+    /// exceeds [`TenantLimits::max_inflight_ops`], so it could never be
+    /// admitted. Split the graph or raise the cap.
+    ExceedsCap,
 }
 
-/// What one node of a [`JobGraph`] launches. Mirrors the [`OpBuilder`]
-/// call surface but is fully serializable, so queued jobs survive
-/// snapshots.
+/// What a requested op launches — one call surface shared by
+/// [`OpBuilder`] and [`JobGraph`] nodes. Fully serializable, so queued
+/// jobs survive snapshots.
 #[derive(Debug, Clone)]
-enum JobKind {
+enum RequestKind {
     Elementwise {
         op: Opcode,
         scalars: Vec<f32>,
@@ -393,15 +400,37 @@ enum JobKind {
     },
 }
 
+/// One op as requested, before splitting: what an [`OpBuilder`] chain or
+/// a [`JobGraph`] node describes, and what `Runtime::submit_request`
+/// turns into per-rank instructions.
+#[derive(Debug, Clone)]
+struct OpRequest {
+    kind: RequestKind,
+    opts: LaunchOpts,
+    /// Explicit DAG edges to already-submitted ops (any session).
+    deps: Vec<OpHandle>,
+    /// Session program order (`false` = gated by `deps` alone).
+    ordered: bool,
+}
+
+impl OpRequest {
+    fn new(kind: RequestKind) -> Self {
+        Self {
+            kind,
+            opts: LaunchOpts::default(),
+            deps: Vec::new(),
+            ordered: true,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct JobNode {
-    kind: JobKind,
-    opts: LaunchOpts,
-    /// Intra-graph parents (indices of earlier nodes).
+    /// The op; `req.deps` holds the node's `after_op` edges.
+    req: OpRequest,
+    /// Intra-graph parents (indices of earlier nodes), appended to
+    /// `req.deps` at admission.
     parents: Vec<u32>,
-    /// External parents (already-submitted ops, any session).
-    after_ops: Vec<OpHandle>,
-    ordered: bool,
 }
 
 /// A declarative batch of ops submitted as one unit through the
@@ -430,13 +459,10 @@ impl JobGraph {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, kind: JobKind) -> usize {
+    fn push(&mut self, kind: RequestKind) -> usize {
         self.nodes.push(JobNode {
-            kind,
-            opts: LaunchOpts::default(),
+            req: OpRequest::new(kind),
             parents: Vec::new(),
-            after_ops: Vec::new(),
-            ordered: true,
         });
         self.nodes.len() - 1
     }
@@ -449,7 +475,7 @@ impl JobGraph {
         inputs: Vec<VecId>,
         output: Option<VecId>,
     ) -> usize {
-        self.push(JobKind::Elementwise {
+        self.push(RequestKind::Elementwise {
             op,
             scalars,
             inputs,
@@ -459,7 +485,7 @@ impl JobGraph {
 
     /// Add a `y = A x` node (`y` must not be `x`); returns its node index.
     pub fn gemv(&mut self, y: VecId, a: MatId, x: VecId) -> usize {
-        self.push(JobKind::Gemv { y, a, x })
+        self.push(RequestKind::Gemv { y, a, x })
     }
 
     /// Add a `parallel_for` macro node; returns its node index.
@@ -470,7 +496,7 @@ impl JobGraph {
         x: MatId,
         samples_per_instr: usize,
     ) -> usize {
-        self.push(JobKind::AxpyRows {
+        self.push(RequestKind::AxpyRows {
             a_pvt,
             alphas,
             x,
@@ -495,20 +521,20 @@ impl JobGraph {
 
     /// DAG edge to an op submitted outside the graph.
     pub fn after_op(&mut self, node: usize, parent: OpHandle) -> &mut Self {
-        self.nodes[node].after_ops.push(parent);
+        self.nodes[node].req.deps.push(parent);
         self
     }
 
     /// Opt `node` out of session program order (gated by its edges
     /// alone).
     pub fn unordered(&mut self, node: usize) -> &mut Self {
-        self.nodes[node].ordered = false;
+        self.nodes[node].req.ordered = false;
         self
     }
 
     /// Replace `node`'s launch options.
     pub fn opts(&mut self, node: usize, opts: LaunchOpts) -> &mut Self {
-        self.nodes[node].opts = opts;
+        self.nodes[node].req.opts = opts;
         self
     }
 }
@@ -643,6 +669,15 @@ struct OpState {
     /// ready index and the failure cascade. Derived state — rebuilt on
     /// snapshot resume, never serialized.
     dependents: Vec<OpHandle>,
+}
+
+/// A request split into per-rank instructions: what a splitter hands
+/// `push_op`. The chunk table counts launches per barrier chunk.
+struct Split {
+    kind: OpKind,
+    pending: VecDeque<PendingLaunch>,
+    chunk_sizes: Vec<u32>,
+    instr_base: u64,
 }
 
 /// One session's submission state.
@@ -1171,7 +1206,72 @@ impl Runtime {
         }
     }
 
-    fn push_op(&mut self, sess: Session, mut op: OpState) -> OpHandle {
+    /// The one way in: split `req` into per-rank instructions and queue
+    /// it on `sess`, inserting realignment copies ahead of an elementwise
+    /// op whose inputs disagree in color. [`OpBuilder::submit`] and job
+    /// admission both submit through here.
+    fn submit_request(&mut self, sess: Session, mut req: OpRequest) -> OpHandle {
+        let split = match req.kind {
+            RequestKind::Elementwise {
+                op,
+                scalars,
+                mut inputs,
+                output,
+            } => {
+                self.realign(sess, &mut inputs, output, &mut req.deps, req.ordered);
+                self.split_elementwise(sess, op, scalars, inputs, output, req.opts)
+            }
+            RequestKind::Gemv { y, a, x } => self.split_gemv(sess, y, a, x),
+            RequestKind::AxpyRows {
+                a_pvt,
+                alphas,
+                x,
+                samples_per_instr,
+            } => self.split_axpy_rows(sess, a_pvt, alphas, x, samples_per_instr),
+        };
+        self.push_op(sess, split, req.opts, req.deps, req.ordered)
+    }
+
+    /// Queue a split op on `sess`: the one place a live [`OpState`] is
+    /// built (snapshot decode restores the others).
+    fn push_op(
+        &mut self,
+        sess: Session,
+        split: Split,
+        opts: LaunchOpts,
+        deps: Vec<OpHandle>,
+        ordered: bool,
+    ) -> OpHandle {
+        let Split {
+            kind,
+            pending,
+            chunk_sizes,
+            instr_base,
+        } = split;
+        let op = OpState {
+            kind,
+            total_instrs: pending.len() as u64,
+            pending,
+            completed_instrs: 0,
+            chunk_completed: vec![0; chunk_sizes.len()],
+            chunk_sizes,
+            released_chunks: 0,
+            barrier: opts.barrier_per_chunk,
+            result: None,
+            done: false,
+            deps,
+            ordered,
+            instr_base,
+            first_staged_at: None,
+            finished_at: None,
+            status: None,
+            retries: 0,
+            retry_after: 0,
+            deadline_at: None,
+            fallback_host: false,
+            submitted_at: self.clock,
+            dependents: Vec::new(),
+        };
         // Submitting behind an already-failed dependency: abort now
         // rather than waiting on a parent that will never succeed.
         let failed_dep = self.recovery
@@ -1180,7 +1280,6 @@ impl Runtime {
                 .iter()
                 .any(|&d| self.op(d).status.is_some_and(OpStatus::is_failure));
         let h = self.next_handle(sess);
-        op.submitted_at = self.clock;
         // Reverse edges: live parents notify this op's session when they
         // retire (and the failure cascade walks straight to it).
         for k in 0..op.deps.len() {
@@ -1211,62 +1310,58 @@ impl Runtime {
         h
     }
 
-    /// Split an elementwise op into per-rank instructions and queue it on
-    /// `sess`, inserting realignment copies for color mismatches.
-    ///
-    /// `inputs` are read operands; `output` (if any) is the written
-    /// operand (in-place ops pass the same id in both). All operands must
-    /// be shared vectors of one length.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_elementwise(
-        &mut self,
-        sess: Session,
-        op: Opcode,
-        scalars: Vec<f32>,
-        inputs: Vec<VecId>,
-        output: Option<VecId>,
-        opts: LaunchOpts,
-        mut deps: Vec<OpHandle>,
-        ordered: bool,
-    ) -> OpHandle {
-        // Color check: all operands of one instruction must share a color
-        // (paper §III-A). When inputs disagree with the base color, the
-        // runtime inserts realignment copies into same-colored temporaries
-        // and gates the main op on them via DAG edges (paper §V).
-        let base_color = output
+    /// The color all operands of one elementwise instruction must share
+    /// (paper §III-A): the output's, else the first input's. `None`
+    /// without operands.
+    fn base_color(&self, inputs: &[VecId], output: Option<VecId>) -> Option<Color> {
+        output
             .or_else(|| inputs.first().copied())
             .map(|v| self.arrays[v.0].color)
-            .expect("needs operands");
-        // The copies inherit the builder's own DAG edges: a copy reads
-        // the mismatched input, so it must wait for the same parents the
-        // main op was gated on (one of them may be the op producing that
-        // input — in another session, or skipped-over by `unordered`).
+    }
+
+    /// True when input `v` needs a realignment copy to reach `base`.
+    /// Private arrays hold a copy per NDA and are never copied. Both the
+    /// copy insertion and the admission cost read this predicate.
+    fn needs_copy(&self, v: VecId, base: Color) -> bool {
+        let a = &self.arrays[v.0];
+        a.color != base && a.private.is_none()
+    }
+
+    /// Copy every misaligned input into a temporary of the base color,
+    /// swap the temporary in, and gate the op on the copy via `deps`
+    /// (paper §V). The copies inherit the op's own DAG edges: a copy
+    /// reads the mismatched input, so it must wait for the same parents
+    /// the op was gated on (one of them may be the op producing that
+    /// input — in another session, or skipped over by `unordered`).
+    fn realign(
+        &mut self,
+        sess: Session,
+        inputs: &mut [VecId],
+        output: Option<VecId>,
+        deps: &mut Vec<OpHandle>,
+        ordered: bool,
+    ) {
+        let base = self.base_color(inputs, output).expect("needs operands");
         let inherited = deps.clone();
-        let mut inputs = inputs;
         for v in inputs.iter_mut() {
-            if self.arrays[v.0].color != base_color && self.arrays[v.0].private.is_none() {
-                let len = self.arrays[v.0].len;
-                let tmp = self.vector_colored(len, Sharing::Shared, base_color);
+            if self.needs_copy(*v, base) {
+                let tmp = self.vector_colored(self.arrays[v.0].len, Sharing::Shared, base);
                 self.realignment_copies += 1;
-                let cp = self.submit_elementwise_inner(
-                    sess,
-                    Opcode::Copy,
-                    vec![],
-                    vec![*v],
-                    Some(tmp),
-                    LaunchOpts::default(),
-                    inherited.clone(),
-                    ordered,
-                );
-                deps.push(cp);
+                let opts = LaunchOpts::default();
+                let copy =
+                    self.split_elementwise(sess, Opcode::Copy, vec![], vec![*v], Some(tmp), opts);
+                deps.push(self.push_op(sess, copy, opts, inherited.clone(), ordered));
                 *v = tmp;
             }
         }
-        self.submit_elementwise_inner(sess, op, scalars, inputs, output, opts, deps, ordered)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit_elementwise_inner(
+    /// Split an elementwise op into per-rank instructions, `opts`-sized
+    /// chunks of the per-rank share. `inputs` are read operands; `output`
+    /// (if any) is the written operand (in-place ops pass the same id in
+    /// both). All operands must be shared vectors of one length and one
+    /// color.
+    fn split_elementwise(
         &mut self,
         sess: Session,
         op: Opcode,
@@ -1274,9 +1369,7 @@ impl Runtime {
         inputs: Vec<VecId>,
         output: Option<VecId>,
         opts: LaunchOpts,
-        deps: Vec<OpHandle>,
-        ordered: bool,
-    ) -> OpHandle {
+    ) -> Split {
         let probe = *inputs.first().or(output.as_ref()).expect("needs operands");
         let len = self.arrays[probe.0].len;
         for v in inputs.iter().chain(output.iter()) {
@@ -1324,54 +1417,22 @@ impl Runtime {
                 chunk_sizes[chunk] += 1;
             }
         }
-        let total = pending.len() as u64;
-        self.push_op(
-            sess,
-            OpState {
-                kind: OpKind::Elementwise {
-                    op,
-                    scalars,
-                    inputs,
-                    output,
-                },
-                pending,
-                total_instrs: total,
-                completed_instrs: 0,
-                chunk_completed: vec![0; chunks],
-                chunk_sizes,
-                released_chunks: 0,
-                barrier: opts.barrier_per_chunk,
-                result: None,
-                done: false,
-                deps,
-                ordered,
-                instr_base,
-                first_staged_at: None,
-                finished_at: None,
-                status: None,
-                retries: 0,
-                retry_after: 0,
-                deadline_at: None,
-                fallback_host: false,
-                submitted_at: 0,
-                dependents: Vec::new(),
+        Split {
+            kind: OpKind::Elementwise {
+                op,
+                scalars,
+                inputs,
+                output,
             },
-        )
+            pending,
+            chunk_sizes,
+            instr_base,
+        }
     }
 
-    /// Split `y = A x` into one instruction per rank and queue it on
-    /// `sess` (A streams, x/y live in the scratchpad).
-    #[allow(clippy::too_many_arguments)]
-    fn submit_gemv(
-        &mut self,
-        sess: Session,
-        y: VecId,
-        a: MatId,
-        x: VecId,
-        opts: LaunchOpts,
-        deps: Vec<OpHandle>,
-        ordered: bool,
-    ) -> OpHandle {
+    /// Split `y = A x` into one instruction per rank (A streams, x/y live
+    /// in the scratchpad).
+    fn split_gemv(&mut self, sess: Session, y: VecId, a: MatId, x: VecId) -> Split {
         let (rows, cols) = self.arrays[a.0].shape.expect("matrix");
         assert_eq!(self.arrays[x.0].len, cols, "x length != cols");
         assert_eq!(self.arrays[y.0].len, rows, "y length != rows");
@@ -1400,56 +1461,30 @@ impl Runtime {
                 chunk: 0,
             });
         }
-        let total = pending.len() as u64;
-        self.push_op(
-            sess,
-            OpState {
-                kind: OpKind::Gemv { y, a, x },
-                pending,
-                total_instrs: total,
-                completed_instrs: 0,
-                chunk_completed: vec![0],
-                chunk_sizes: vec![total as u32],
-                released_chunks: 0,
-                barrier: opts.barrier_per_chunk,
-                result: None,
-                done: false,
-                deps,
-                ordered,
-                instr_base,
-                first_staged_at: None,
-                finished_at: None,
-                status: None,
-                retries: 0,
-                retry_after: 0,
-                deadline_at: None,
-                fallback_host: false,
-                submitted_at: 0,
-                dependents: Vec::new(),
-            },
-        )
+        Split {
+            kind: OpKind::Gemv { y, a, x },
+            chunk_sizes: vec![pending.len() as u32],
+            pending,
+            instr_base,
+        }
     }
 
-    /// The `parallel_for` macro operation of Fig. 8: for each sample `i`,
-    /// every NDA accumulates its local share of row `i` into its private
-    /// copy of `a_pvt` (`a_pvt += alphas[i] * X[i]`).
+    /// Split the `parallel_for` macro operation of Fig. 8: for each sample
+    /// `i`, every NDA accumulates its local share of row `i` into its
+    /// private copy of `a_pvt` (`a_pvt += alphas[i] * X[i]`).
     ///
     /// `samples_per_instr` batches consecutive samples into one NDA
     /// instruction — the paper's *macro NDA operation*, which amortizes
     /// launch packets over loop iterations (§V, load-imbalance
     /// optimization).
-    #[allow(clippy::too_many_arguments)]
-    fn submit_axpy_rows(
+    fn split_axpy_rows(
         &mut self,
         sess: Session,
         a_pvt: VecId,
         alphas: Vec<f32>,
         x: MatId,
         samples_per_instr: usize,
-        opts: LaunchOpts,
-        deps: Vec<OpHandle>,
-        ordered: bool,
-    ) -> OpHandle {
+    ) -> Split {
         let (rows, cols) = self.arrays[x.0].shape.expect("matrix");
         assert!(alphas.len() <= rows, "more alphas than rows");
         assert!(
@@ -1502,34 +1537,12 @@ impl Runtime {
                 chunk_sizes[batch] += 1;
             }
         }
-        let total = pending.len() as u64;
-        self.push_op(
-            sess,
-            OpState {
-                kind: OpKind::MacroAxpyRows { a_pvt, alphas, x },
-                pending,
-                total_instrs: total,
-                completed_instrs: 0,
-                chunk_completed: vec![0; n_batches],
-                chunk_sizes,
-                released_chunks: 0,
-                barrier: opts.barrier_per_chunk,
-                result: None,
-                done: false,
-                deps,
-                ordered,
-                instr_base,
-                first_staged_at: None,
-                finished_at: None,
-                status: None,
-                retries: 0,
-                retry_after: 0,
-                deadline_at: None,
-                fallback_host: false,
-                submitted_at: 0,
-                dependents: Vec::new(),
-            },
-        )
+        Split {
+            kind: OpKind::MacroAxpyRows { a_pvt, alphas, x },
+            pending,
+            chunk_sizes,
+            instr_base,
+        }
     }
 
     /// Oracle-only (the release launch loop uses the borrow-splitting
@@ -1903,23 +1916,11 @@ impl Runtime {
             op.completed_instrs == op.total_instrs
         };
         if finished {
-            self.finalize(h);
-            let ss = &mut self.sessions[h.sess as usize];
-            let op = &mut ss.ops[h.idx as usize];
+            self.finalize(h); // sets done
+            let op = self.op_mut(h);
             op.finished_at = Some(now);
             op.status = Some(OpStatus::Completed);
-            if op.deadline_at.is_some() {
-                self.armed_deadlines -= 1;
-            }
-            let ss = &mut self.sessions[h.sess as usize];
-            let op = &mut ss.ops[h.idx as usize];
-            if !op.ordered {
-                ss.unordered_live -= 1;
-            }
-            while ss.first_live < ss.ops.len() && ss.ops[ss.first_live].done {
-                ss.first_live += 1;
-            }
-            self.on_op_terminal(h, now);
+            self.retire(h, now);
         } else {
             // A barrier may have advanced (or program order may still be
             // waiting on more completions): re-enter the session so the
@@ -1929,36 +1930,45 @@ impl Runtime {
         finished
     }
 
-    /// Terminal bookkeeping shared by the completion and conclusion
-    /// paths: tenant metering, admission-control accounting, the
-    /// finished-op event feed, and ready-index notification of the
-    /// session and every registered dependent.
-    fn on_op_terminal(&mut self, h: OpHandle, now: u64) {
+    /// The one way out, shared by the completion and conclusion paths
+    /// once the caller has marked `h` done with its status: deadline
+    /// disarm, program-order watermarks, tenant metering,
+    /// admission-control accounting, the finished-op event feed, and
+    /// ready-index notification of the session and every registered
+    /// dependent.
+    fn retire(&mut self, h: OpHandle, now: u64) {
         let s = h.sess as usize;
-        {
-            let ss = &mut self.sessions[s];
-            let op = &ss.ops[h.idx as usize];
-            let completed = op.status == Some(OpStatus::Completed);
-            let submitted = op.submitted_at;
-            let first_staged = op.first_staged_at;
-            let m = &mut ss.meter;
-            if completed {
-                m.ops_completed += 1;
-            } else {
-                m.ops_failed += 1;
+        let ss = &mut self.sessions[s];
+        let op = &ss.ops[h.idx as usize];
+        if op.deadline_at.is_some() {
+            self.armed_deadlines -= 1;
+        }
+        if !op.ordered {
+            ss.unordered_live -= 1;
+        }
+        let completed = op.status == Some(OpStatus::Completed);
+        let submitted = op.submitted_at;
+        let first_staged = op.first_staged_at;
+        while ss.first_live < ss.ops.len() && ss.ops[ss.first_live].done {
+            ss.first_live += 1;
+        }
+        let m = &mut ss.meter;
+        if completed {
+            m.ops_completed += 1;
+        } else {
+            m.ops_failed += 1;
+        }
+        m.cycles_resident += now.saturating_sub(submitted);
+        match first_staged {
+            Some(fs) => {
+                m.launch_wait_cycles += fs.saturating_sub(submitted);
+                m.service_cycles += now.saturating_sub(fs);
             }
-            m.cycles_resident += now.saturating_sub(submitted);
-            match first_staged {
-                Some(fs) => {
-                    m.launch_wait_cycles += fs.saturating_sub(submitted);
-                    m.service_cycles += now.saturating_sub(fs);
-                }
-                None => m.launch_wait_cycles += now.saturating_sub(submitted),
-            }
-            ss.live_ops -= 1;
-            if !ss.job_queue.is_empty() {
-                self.admit_pending.push_back(h.sess);
-            }
+            None => m.launch_wait_cycles += now.saturating_sub(submitted),
+        }
+        ss.live_ops -= 1;
+        if !ss.job_queue.is_empty() {
+            self.admit_pending.push_back(h.sess);
         }
         self.finished_ops.push_back(h);
         self.ready_notify(s);
@@ -1991,23 +2001,13 @@ impl Runtime {
             OpStatus::TimedOut => self.counters.ops_timed_out += 1,
             OpStatus::DepFailed => self.counters.ops_dep_failed += 1,
         }
-        if self.op(h).deadline_at.is_some() {
-            self.armed_deadlines -= 1;
-        }
-        let ss = &mut self.sessions[h.sess as usize];
-        let op = &mut ss.ops[h.idx as usize];
+        let op = self.op_mut(h);
         op.done = true;
         op.status = Some(status);
         op.finished_at = Some(now);
         op.pending.clear();
         op.retry_after = 0;
-        if !op.ordered {
-            ss.unordered_live -= 1;
-        }
-        while ss.first_live < ss.ops.len() && ss.ops[ss.first_live].done {
-            ss.first_live += 1;
-        }
-        self.on_op_terminal(h, now);
+        self.retire(h, now);
     }
 
     /// [`conclude`](Self::conclude), then propagate a failure along
@@ -2405,7 +2405,10 @@ impl Runtime {
     }
 
     /// Set `sess`'s admission-control limits. Loosening the in-flight
-    /// cap re-arms admission for already-queued jobs.
+    /// cap re-arms admission for already-queued jobs. Lowering it below
+    /// the cost of an already-queued graph is the caller's
+    /// responsibility: that graph can then never be admitted, and it
+    /// blocks every later job of the session (the queue is FIFO).
     pub fn set_tenant_limits(&mut self, sess: Session, limits: TenantLimits) {
         let s = sess.id as usize;
         self.sessions[s].limits = limits;
@@ -2421,24 +2424,31 @@ impl Runtime {
 
     /// Submit a [`JobGraph`] through the executor's admission control.
     ///
-    /// If the session's job queue is empty and the graph fits under its
-    /// in-flight cap, the graph is admitted (ops submitted) immediately.
-    /// Otherwise it is queued FIFO — admission resumes as the session's
-    /// live ops retire — up to [`TenantLimits::queue_depth`] graphs;
-    /// past that the submission is refused with
-    /// [`SubmitError::QueueFull`]. Every decision depends only on
-    /// runtime state, so it is bit-identical across engines and
+    /// A graph whose cost (nodes plus realignment copies) exceeds the
+    /// session's in-flight cap is refused with
+    /// [`SubmitError::ExceedsCap`]. If the session's job queue is empty
+    /// and the graph fits under the cap, the graph is admitted (ops
+    /// submitted) immediately. Otherwise it is queued FIFO — admission
+    /// resumes as the session's live ops retire — up to
+    /// [`TenantLimits::queue_depth`] graphs; past that the submission is
+    /// refused with [`SubmitError::QueueFull`]. Every decision depends
+    /// only on runtime state, so it is bit-identical across engines and
     /// snapshot/resume.
     pub fn submit_job(&mut self, sess: Session, graph: JobGraph) -> Result<Ticket, SubmitError> {
         let s = sess.id as usize;
         let job = self.sessions[s].jobs.len() as u32;
-        let nodes = graph.nodes.len() as u32;
+        let cost = self.graph_cost(&graph);
         let enqueued_at = self.clock;
         let ss = &self.sessions[s];
+        if cost > ss.limits.max_inflight_ops {
+            // Could never fit, and would block the FIFO queue forever.
+            self.sessions[s].meter.jobs_rejected += 1;
+            return Err(SubmitError::ExceedsCap);
+        }
         // Queued jobs admit strictly FIFO: a graph may not overtake the
         // queue even if it would fit right now.
         let fits = ss.job_queue.is_empty()
-            && ss.live_ops.saturating_add(nodes) <= ss.limits.max_inflight_ops;
+            && ss.live_ops.saturating_add(cost) <= ss.limits.max_inflight_ops;
         if fits {
             self.sessions[s].jobs.push(JobRecord {
                 state: JobState::Admitted { base: 0, end: 0 },
@@ -2461,53 +2471,33 @@ impl Runtime {
         }
     }
 
+    /// Live ops admitting `graph` adds — one per node plus the
+    /// realignment copies its elementwise nodes insert — compared against
+    /// [`TenantLimits::max_inflight_ops`] at both admission sites.
+    fn graph_cost(&self, graph: &JobGraph) -> u32 {
+        let copies = |n: &JobNode| match &n.req.kind {
+            RequestKind::Elementwise { inputs, output, .. } => {
+                self.base_color(inputs, *output).map_or(0, |base| {
+                    inputs.iter().filter(|&&v| self.needs_copy(v, base)).count()
+                })
+            }
+            _ => 0,
+        };
+        graph.nodes.iter().map(|n| 1 + copies(n)).sum::<usize>() as u32
+    }
+
     /// Resolve a graph's nodes into real submissions; returns the
     /// session-op range `[base, end)` they produced (realignment copies
     /// included — they land inside the range).
     fn admit_graph(&mut self, sess: Session, graph: JobGraph) -> (u32, u32) {
         let base = self.sessions[sess.id as usize].ops.len() as u32;
         let mut handles: Vec<OpHandle> = Vec::with_capacity(graph.nodes.len());
-        for node in graph.nodes {
-            let mut deps = node.after_ops;
-            for &p in &node.parents {
-                deps.push(handles[p as usize]);
-            }
-            let h = match node.kind {
-                JobKind::Elementwise {
-                    op,
-                    scalars,
-                    inputs,
-                    output,
-                } => self.submit_elementwise(
-                    sess,
-                    op,
-                    scalars,
-                    inputs,
-                    output,
-                    node.opts,
-                    deps,
-                    node.ordered,
-                ),
-                JobKind::Gemv { y, a, x } => {
-                    self.submit_gemv(sess, y, a, x, node.opts, deps, node.ordered)
-                }
-                JobKind::AxpyRows {
-                    a_pvt,
-                    alphas,
-                    x,
-                    samples_per_instr,
-                } => self.submit_axpy_rows(
-                    sess,
-                    a_pvt,
-                    alphas,
-                    x,
-                    samples_per_instr,
-                    node.opts,
-                    deps,
-                    node.ordered,
-                ),
-            };
-            handles.push(h);
+        for JobNode { mut req, parents } in graph.nodes {
+            // `after_op` edges first, graph parents second (`op.deps`
+            // order is serialized).
+            req.deps
+                .extend(parents.iter().map(|&p| handles[p as usize]));
+            handles.push(self.submit_request(sess, req));
         }
         let end = self.sessions[sess.id as usize].ops.len() as u32;
         (base, end)
@@ -2527,7 +2517,7 @@ impl Runtime {
                 self.sessions[s].job_queue.pop_front();
                 continue;
             };
-            if ss.live_ops.saturating_add(g.nodes.len() as u32) > ss.limits.max_inflight_ops {
+            if ss.live_ops.saturating_add(self.graph_cost(g)) > ss.limits.max_inflight_ops {
                 return;
             }
             let ss = &mut self.sessions[s];
@@ -2641,22 +2631,7 @@ impl Runtime {
                         scalars,
                         inputs,
                         output,
-                    } => {
-                        w.u8(0);
-                        encode_opcode(*oc, w);
-                        encode_f32s(scalars, w);
-                        w.varint(inputs.len() as u64);
-                        for v in inputs {
-                            w.varint(v.0 as u64);
-                        }
-                        match output {
-                            None => w.bool(false),
-                            Some(v) => {
-                                w.bool(true);
-                                w.varint(v.0 as u64);
-                            }
-                        }
-                    }
+                    } => encode_elementwise(*oc, scalars, inputs, *output, w),
                     OpKind::Gemv { y, a, x } => {
                         w.u8(1);
                         w.varint(y.0 as u64);
@@ -2854,18 +2829,7 @@ impl Runtime {
             for _ in 0..n_ops {
                 let kind = match r.u8()? {
                     0 => {
-                        let oc = decode_opcode(r)?;
-                        let scalars = decode_f32s(r)?;
-                        let n_in = r.varint_usize()?;
-                        let mut inputs = Vec::with_capacity(n_in.min(r.remaining()));
-                        for _ in 0..n_in {
-                            inputs.push(self.decode_vec_id(r)?);
-                        }
-                        let output = if r.bool()? {
-                            Some(self.decode_vec_id(r)?)
-                        } else {
-                            None
-                        };
+                        let (oc, scalars, inputs, output) = self.decode_elementwise(r)?;
                         OpKind::Elementwise {
                             op: oc,
                             scalars,
@@ -3018,7 +2982,7 @@ impl Runtime {
             for job in &ss.jobs {
                 if let JobState::Queued(g) = &job.state {
                     for n in &g.nodes {
-                        for &h in &n.after_ops {
+                        for &h in &n.req.deps {
                             check_handle(&self.sessions, h)?;
                         }
                     }
@@ -3149,6 +3113,25 @@ impl Runtime {
         Ok(MatId(i))
     }
 
+    /// Decode an elementwise payload written by [`encode_elementwise`]
+    /// (after its tag).
+    #[cold]
+    fn decode_elementwise(&self, r: &mut ByteReader<'_>) -> Result<ElementwiseParts, CodecError> {
+        let op = decode_opcode(r)?;
+        let scalars = decode_f32s(r)?;
+        let n_in = r.varint_usize()?;
+        let mut inputs = Vec::with_capacity(n_in.min(r.remaining()));
+        for _ in 0..n_in {
+            inputs.push(self.decode_vec_id(r)?);
+        }
+        let output = if r.bool()? {
+            Some(self.decode_vec_id(r)?)
+        } else {
+            None
+        };
+        Ok((op, scalars, inputs, output))
+    }
+
     #[cold]
     fn decode_job_graph(&self, r: &mut ByteReader<'_>) -> Result<JobGraph, CodecError> {
         let n_nodes = r.varint_usize()?;
@@ -3156,26 +3139,15 @@ impl Runtime {
         for node in 0..n_nodes {
             let kind = match r.u8()? {
                 0 => {
-                    let op = decode_opcode(r)?;
-                    let scalars = decode_f32s(r)?;
-                    let n_in = r.varint_usize()?;
-                    let mut inputs = Vec::with_capacity(n_in.min(r.remaining()));
-                    for _ in 0..n_in {
-                        inputs.push(self.decode_vec_id(r)?);
-                    }
-                    let output = if r.bool()? {
-                        Some(self.decode_vec_id(r)?)
-                    } else {
-                        None
-                    };
-                    JobKind::Elementwise {
+                    let (op, scalars, inputs, output) = self.decode_elementwise(r)?;
+                    RequestKind::Elementwise {
                         op,
                         scalars,
                         inputs,
                         output,
                     }
                 }
-                1 => JobKind::Gemv {
+                1 => RequestKind::Gemv {
                     y: self.decode_vec_id(r)?,
                     a: self.decode_mat_id(r)?,
                     x: self.decode_vec_id(r)?,
@@ -3188,7 +3160,7 @@ impl Runtime {
                     if samples_per_instr == 0 {
                         return Err(CodecError::Corrupt("samples per instr"));
                     }
-                    JobKind::AxpyRows {
+                    RequestKind::AxpyRows {
                         a_pvt,
                         alphas,
                         x,
@@ -3211,56 +3183,70 @@ impl Runtime {
                 parents.push(p);
             }
             let n_after = r.varint_usize()?;
-            let mut after_ops = Vec::with_capacity(n_after.min(r.remaining()));
+            let mut deps = Vec::with_capacity(n_after.min(r.remaining()));
             for _ in 0..n_after {
-                after_ops.push(decode_handle(r)?);
+                deps.push(decode_handle(r)?);
             }
-            let ordered = r.bool()?;
-            nodes.push(JobNode {
+            let req = OpRequest {
                 kind,
                 opts,
-                parents,
-                after_ops,
-                ordered,
-            });
+                deps,
+                ordered: r.bool()?,
+            };
+            nodes.push(JobNode { req, parents });
         }
         Ok(JobGraph { nodes })
+    }
+}
+
+/// The fields of an elementwise op kind: opcode, scalars, inputs,
+/// output.
+type ElementwiseParts = (Opcode, Vec<f32>, Vec<VecId>, Option<VecId>);
+
+/// Tag and payload of an elementwise op kind: one wire shape shared by
+/// the op record and the queued job node.
+#[cold]
+fn encode_elementwise(
+    op: Opcode,
+    scalars: &[f32],
+    inputs: &[VecId],
+    output: Option<VecId>,
+    w: &mut ByteWriter,
+) {
+    w.u8(0);
+    encode_opcode(op, w);
+    encode_f32s(scalars, w);
+    w.varint(inputs.len() as u64);
+    for v in inputs {
+        w.varint(v.0 as u64);
+    }
+    match output {
+        None => w.bool(false),
+        Some(v) => {
+            w.bool(true);
+            w.varint(v.0 as u64);
+        }
     }
 }
 
 #[cold]
 fn encode_job_graph(g: &JobGraph, w: &mut ByteWriter) {
     w.varint(g.nodes.len() as u64);
-    for n in &g.nodes {
-        match &n.kind {
-            JobKind::Elementwise {
+    for JobNode { req, parents } in &g.nodes {
+        match &req.kind {
+            RequestKind::Elementwise {
                 op,
                 scalars,
                 inputs,
                 output,
-            } => {
-                w.u8(0);
-                encode_opcode(*op, w);
-                encode_f32s(scalars, w);
-                w.varint(inputs.len() as u64);
-                for v in inputs {
-                    w.varint(v.0 as u64);
-                }
-                match output {
-                    None => w.bool(false),
-                    Some(v) => {
-                        w.bool(true);
-                        w.varint(v.0 as u64);
-                    }
-                }
-            }
-            JobKind::Gemv { y, a, x } => {
+            } => encode_elementwise(*op, scalars, inputs, *output, w),
+            RequestKind::Gemv { y, a, x } => {
                 w.u8(1);
                 w.varint(y.0 as u64);
                 w.varint(a.0 as u64);
                 w.varint(x.0 as u64);
             }
-            JobKind::AxpyRows {
+            RequestKind::AxpyRows {
                 a_pvt,
                 alphas,
                 x,
@@ -3273,23 +3259,23 @@ fn encode_job_graph(g: &JobGraph, w: &mut ByteWriter) {
                 w.varint(*samples_per_instr as u64);
             }
         }
-        match n.opts.granularity_lines {
+        match req.opts.granularity_lines {
             None => w.bool(false),
             Some(g) => {
                 w.bool(true);
                 w.varint(g);
             }
         }
-        w.bool(n.opts.barrier_per_chunk);
-        w.varint(n.parents.len() as u64);
-        for &p in &n.parents {
+        w.bool(req.opts.barrier_per_chunk);
+        w.varint(parents.len() as u64);
+        for &p in parents {
             w.varint(u64::from(p));
         }
-        w.varint(n.after_ops.len() as u64);
-        for &h in &n.after_ops {
+        w.varint(req.deps.len() as u64);
+        for &h in &req.deps {
             encode_handle(h, w);
         }
-        w.bool(n.ordered);
+        w.bool(req.ordered);
     }
 }
 
@@ -3329,50 +3315,23 @@ fn deps_done_in(sessions: &[SessionState], deps: &[OpHandle]) -> bool {
         .all(|&d| sessions[d.sess as usize].ops[d.idx as usize].done)
 }
 
-/// What a launch call builds (resolved at [`OpBuilder::submit`]).
-enum BuildKind {
-    Elementwise {
-        op: Opcode,
-        scalars: Vec<f32>,
-        inputs: Vec<VecId>,
-        output: Option<VecId>,
-    },
-    Gemv {
-        y: VecId,
-        a: MatId,
-        x: VecId,
-    },
-    AxpyRows {
-        a_pvt: VecId,
-        alphas: Vec<f32>,
-        x: MatId,
-        samples_per_instr: usize,
-    },
-}
-
 /// Builder for one op submission: launch options, DAG edges, and ordering
 /// mode, finished by [`submit`](OpBuilder::submit).
 #[must_use = "an OpBuilder does nothing until .submit()"]
 pub struct OpBuilder<'rt> {
     rt: &'rt mut Runtime,
     sess: Session,
-    kind: BuildKind,
-    opts: LaunchOpts,
-    deps: Vec<OpHandle>,
-    ordered: bool,
+    req: OpRequest,
     deadline: Option<u64>,
     fallback_host: bool,
 }
 
 impl<'rt> OpBuilder<'rt> {
-    fn new(rt: &'rt mut Runtime, sess: Session, kind: BuildKind) -> Self {
+    fn new(rt: &'rt mut Runtime, sess: Session, kind: RequestKind) -> Self {
         Self {
             rt,
             sess,
-            kind,
-            opts: LaunchOpts::default(),
-            deps: Vec::new(),
-            ordered: true,
+            req: OpRequest::new(kind),
             deadline: None,
             fallback_host: false,
         }
@@ -3380,26 +3339,26 @@ impl<'rt> OpBuilder<'rt> {
 
     /// Replace the launch options wholesale.
     pub fn opts(mut self, opts: LaunchOpts) -> Self {
-        self.opts = opts;
+        self.req.opts = opts;
         self
     }
 
     /// Cache blocks per NDA instruction per rank (the Fig.-10 knob).
     pub fn granularity_lines(mut self, lines: u64) -> Self {
-        self.opts.granularity_lines = Some(lines);
+        self.req.opts.granularity_lines = Some(lines);
         self
     }
 
     /// Asynchronous macro launch: do not barrier between chunks.
     pub fn no_barrier(mut self) -> Self {
-        self.opts.barrier_per_chunk = false;
+        self.req.opts.barrier_per_chunk = false;
         self
     }
 
     /// Add a DAG edge: this op's launches are held until `parent` has
     /// retired. `parent` may belong to any session.
     pub fn after(mut self, parent: OpHandle) -> Self {
-        self.deps.push(parent);
+        self.req.deps.push(parent);
         self
     }
 
@@ -3407,7 +3366,7 @@ impl<'rt> OpBuilder<'rt> {
     /// [`after`](Self::after) edges alone, letting it overlap other ops
     /// of the same session.
     pub fn unordered(mut self) -> Self {
-        self.ordered = false;
+        self.req.ordered = false;
         self
     }
 
@@ -3431,42 +3390,10 @@ impl<'rt> OpBuilder<'rt> {
 
     /// Queue the op and return its handle.
     pub fn submit(self) -> OpHandle {
-        let OpBuilder {
-            rt,
-            sess,
-            kind,
-            opts,
-            deps,
-            ordered,
-            deadline,
-            fallback_host,
-        } = self;
-        let built = match kind {
-            BuildKind::Elementwise {
-                op,
-                scalars,
-                inputs,
-                output,
-            } => rt.submit_elementwise(sess, op, scalars, inputs, output, opts, deps, ordered),
-            BuildKind::Gemv { y, a, x } => rt.submit_gemv(sess, y, a, x, opts, deps, ordered),
-            BuildKind::AxpyRows {
-                a_pvt,
-                alphas,
-                x,
-                samples_per_instr,
-            } => rt.submit_axpy_rows(
-                sess,
-                a_pvt,
-                alphas,
-                x,
-                samples_per_instr,
-                opts,
-                deps,
-                ordered,
-            ),
-        };
-        rt.apply_recovery_opts(built, deadline, fallback_host);
-        built
+        let h = self.rt.submit_request(self.sess, self.req);
+        self.rt
+            .apply_recovery_opts(h, self.deadline, self.fallback_host);
+        h
     }
 }
 
@@ -3485,7 +3412,7 @@ impl Session {
         OpBuilder::new(
             rt,
             self,
-            BuildKind::Elementwise {
+            RequestKind::Elementwise {
                 op,
                 scalars,
                 inputs,
@@ -3497,7 +3424,7 @@ impl Session {
     /// Build `y = A x` (one instruction per rank; A streams, x/y live in
     /// the scratchpad). `y` must not be `x`: submission panics otherwise.
     pub fn gemv<'rt>(self, rt: &'rt mut Runtime, y: VecId, a: MatId, x: VecId) -> OpBuilder<'rt> {
-        OpBuilder::new(rt, self, BuildKind::Gemv { y, a, x })
+        OpBuilder::new(rt, self, RequestKind::Gemv { y, a, x })
     }
 
     /// Build the `parallel_for` macro op of Fig. 8: per-sample
@@ -3514,7 +3441,7 @@ impl Session {
         OpBuilder::new(
             rt,
             self,
-            BuildKind::AxpyRows {
+            RequestKind::AxpyRows {
                 a_pvt,
                 alphas,
                 x,

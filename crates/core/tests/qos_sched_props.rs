@@ -20,7 +20,11 @@
 //!   fast-forward loops;
 //! * executor admission control: in-flight caps admit, the bounded
 //!   queue parks in FIFO order, overflow rejects deterministically with
-//!   `QueueFull`, and rejection leaves the session able to resubmit.
+//!   `QueueFull`, and rejection leaves the session able to resubmit;
+//! * a graph's cost counts its realignment copies, and a graph that can
+//!   never fit under the cap is refused with `ExceedsCap`;
+//! * `OpBuilder` chains and `JobGraph` nodes are one submission path:
+//!   the same op set through either produces bit-identical reports.
 
 use chopim_core::prelude::*;
 use proptest::prelude::*;
@@ -422,5 +426,178 @@ fn executor_zero_depth_queue_rejects_immediately() {
         sys.run(500);
         budget += 500;
         assert!(budget < 5_000_000, "admitted job never finished");
+    }
+}
+
+/// Drive `sys` in 500-cycle steps until `done` holds (bounded).
+fn run_until(sys: &mut ChopimSystem, what: &str, done: impl Fn(&Runtime) -> bool) {
+    let mut budget = 0u64;
+    while !done(&sys.runtime) {
+        sys.run(500);
+        budget += 500;
+        assert!(budget < 5_000_000, "{what}");
+    }
+}
+
+/// A graph that costs more than the in-flight cap could never be
+/// admitted and would block the session's FIFO queue forever: it is
+/// refused at submission, and a graph at the cap still runs.
+#[test]
+fn executor_rejects_graph_over_cap() {
+    let mut sys = sys_with(SchedulerKind::FrFcfs, 13);
+    let s = sys.runtime.create_session();
+    sys.runtime.set_tenant_limits(
+        s,
+        TenantLimits {
+            max_inflight_ops: 2,
+            queue_depth: 1,
+        },
+    );
+    let x = sys.runtime.vector(1 << 12, Sharing::Shared);
+    let graph = |nodes: usize| {
+        let mut g = JobGraph::new();
+        for _ in 0..nodes {
+            g.elementwise(Opcode::Scal, vec![0.5], vec![], Some(x));
+        }
+        g
+    };
+    assert_eq!(
+        sys.runtime.submit_job(s, graph(3)),
+        Err(SubmitError::ExceedsCap)
+    );
+    let t = sys.runtime.submit_job(s, graph(2)).expect("fits the cap");
+    assert!(sys.runtime.ticket_admitted(t));
+    run_until(&mut sys, "graph at the cap never retired", |rt| {
+        rt.ticket_done(t)
+    });
+    let report = sys.report();
+    let meter = &report.tenants[1];
+    assert_eq!((meter.jobs_rejected, meter.ops_completed), (1, 2));
+}
+
+/// Admission counts the realignment copies a graph inserts, as
+/// `TenantLimits::max_inflight_ops` documents: a one-node AXPY whose
+/// input has another color costs two live ops.
+#[test]
+fn executor_counts_realignment_copies() {
+    let mut sys = sys_with(SchedulerKind::FrFcfs, 17);
+    let n = 1 << 12;
+    let x = sys.runtime.vector_colored(n, Sharing::Shared, Color(1));
+    let y = sys.runtime.vector_colored(n, Sharing::Shared, Color(5));
+    let z = sys.runtime.vector(n, Sharing::Shared);
+    let mixed = || {
+        let mut g = JobGraph::new();
+        g.elementwise(Opcode::Axpy, vec![2.0], vec![x], Some(y));
+        g
+    };
+    let s = sys.runtime.create_session();
+    let limits = |max_inflight_ops| TenantLimits {
+        max_inflight_ops,
+        queue_depth: 1,
+    };
+    sys.runtime.set_tenant_limits(s, limits(1));
+    assert_eq!(
+        sys.runtime.submit_job(s, mixed()),
+        Err(SubmitError::ExceedsCap)
+    );
+    assert_eq!(
+        sys.runtime.realignment_copies, 0,
+        "a refused graph inserts nothing"
+    );
+
+    // Cap 2 with one builder op live: the graph's cost of 2 does not fit
+    // beside it, so the graph queues until that op retires.
+    sys.runtime.set_tenant_limits(s, limits(2));
+    let live = s
+        .elementwise(&mut sys.runtime, Opcode::Scal, vec![0.5], vec![], Some(z))
+        .submit();
+    let t = sys.runtime.submit_job(s, mixed()).expect("queue has room");
+    assert!(
+        !sys.runtime.ticket_admitted(t),
+        "copy must count toward the cap"
+    );
+    run_until(&mut sys, "queued graph never retired", |rt| {
+        rt.ticket_done(t)
+    });
+    assert!(sys.runtime.op_done(live));
+    assert_eq!(sys.runtime.realignment_copies, 1);
+    let report = sys.report();
+    assert_eq!(report.tenants[1].ops_submitted, 3);
+}
+
+/// One op set submitted through `OpBuilder` or as one `JobGraph`: a
+/// realigned elementwise with non-default launch options, a gemv, and
+/// an unordered axpy-rows macro op (4 samples per instruction) gated on
+/// the gemv by an explicit edge. Returns the report and every result.
+fn op_set_run(as_graph: bool, fast_forward: bool) -> (SimReport, Vec<Vec<f32>>) {
+    let mut cfg = ChopimConfig {
+        dram: DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh()),
+        mix: MixId::new(2),
+        seed: 23,
+        ..ChopimConfig::default()
+    };
+    cfg.fast_forward = fast_forward;
+    let mut sys = ChopimSystem::new(cfg);
+    let rt = &mut sys.runtime;
+    let (n, rows, cols) = (1 << 12, 32, 256);
+    let x = rt.vector_colored(n, Sharing::Shared, Color(1));
+    let y = rt.vector_colored(n, Sharing::Shared, Color(5));
+    let a = rt.matrix(rows, cols);
+    let gx = rt.vector(cols, Sharing::Shared);
+    let gy = rt.vector(rows, Sharing::Shared);
+    let a_pvt = rt.vector(cols, Sharing::Private);
+    let data = |len: usize, k: usize| -> Vec<f32> {
+        (0..len)
+            .map(|i| ((i * k) % 29) as f32 * 0.125 - 1.5)
+            .collect()
+    };
+    rt.write_vector(x, &data(n, 3));
+    rt.write_vector(y, &data(n, 7));
+    rt.write_matrix(a, &data(rows * cols, 5));
+    rt.write_vector(gx, &data(cols, 11));
+    let alphas = data(rows, 13);
+    let opts = LaunchOpts {
+        granularity_lines: Some(4),
+        barrier_per_chunk: false,
+    };
+    let s = rt.create_session();
+    if as_graph {
+        let mut g = JobGraph::new();
+        let axpy = g.elementwise(Opcode::Axpy, vec![0.5], vec![x], Some(y));
+        g.opts(axpy, opts);
+        let gemv = g.gemv(gy, a, gx);
+        let rows_op = g.axpy_rows(a_pvt, alphas, a, 4);
+        g.after(rows_op, gemv).unordered(rows_op);
+        rt.submit_job(s, g).expect("default limits admit");
+    } else {
+        let _ = s
+            .elementwise(rt, Opcode::Axpy, vec![0.5], vec![x], Some(y))
+            .opts(opts)
+            .submit();
+        let gemv = s.gemv(rt, gy, a, gx).submit();
+        let _ = s
+            .axpy_rows(rt, a_pvt, alphas, a, 4)
+            .after(gemv)
+            .unordered()
+            .submit();
+    }
+    sys.run(300_000);
+    assert!(sys.runtime.quiescent(), "op set must retire in the window");
+    assert_eq!(sys.runtime.realignment_copies, 1);
+    let rt = &sys.runtime;
+    let mut results = vec![rt.read_vector(y).to_vec(), rt.read_vector(gy).to_vec()];
+    results.extend((0..rt.nda_ranks().len()).map(|r| rt.read_private(a_pvt, r).to_vec()));
+    (sys.report(), results)
+}
+
+#[test]
+fn builder_and_job_graph_submit_identically() {
+    for fast_forward in [false, true] {
+        let built = op_set_run(false, fast_forward);
+        let graphed = op_set_run(true, fast_forward);
+        assert_eq!(
+            built, graphed,
+            "builder and job-graph submission diverged (fast_forward {fast_forward})"
+        );
     }
 }
