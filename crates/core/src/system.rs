@@ -249,8 +249,8 @@ pub struct ChopimConfig {
     /// knobs, this never affects simulated behavior.
     pub trace_path: Option<PathBuf>,
     /// Deterministic fault-injection plan (`docs/FAULTS.md`). The
-    /// default, [`FaultPlan::NONE`], injects nothing and keeps every
-    /// hot path byte-identical to the pre-fault-plane engine; a
+    /// default, [`FaultPlan::NONE`], injects nothing and keeps the
+    /// simulated behavior of the pre-fault-plane engine; a
     /// non-empty plan also activates the runtime's recovery layer
     /// (retries, in-flight timeouts, quarantine). Defaults to
     /// `CHOPIM_FAULTS=<spec>` (unset = empty).
@@ -495,12 +495,7 @@ impl ChopimSystem {
             }
         }
 
-        runtime.configure_recovery(
-            !cfg.faults.is_empty(),
-            cfg.retry_limit,
-            cfg.retry_backoff,
-            cfg.retry_backoff_cap,
-        );
+        runtime.configure_recovery(cfg.retry_limit, cfg.retry_backoff, cfg.retry_backoff_cap);
 
         let params = ShardParams {
             policy: cfg.policy,
@@ -587,12 +582,6 @@ impl ChopimSystem {
         self.now
     }
 
-    /// The conservative-lookahead window length (cycles between shard
-    /// barriers) this machine runs with.
-    pub fn lookahead_window(&self) -> Cycle {
-        self.window
-    }
-
     /// One channel's device state (stats inspection).
     pub fn channel(&self, ch: usize) -> &Channel {
         &self.shards[ch].channel
@@ -606,41 +595,6 @@ impl ChopimSystem {
             s.add_channel(&shard.channel.stats);
         }
         s
-    }
-
-    /// The host address mapper.
-    pub fn mapper(&self) -> &PartitionedMapping {
-        &self.mapper
-    }
-
-    /// Record every DRAM command for offline validation with
-    /// [`chopim_dram::TimingChecker`].
-    #[cold]
-    pub fn enable_mem_trace(&mut self) {
-        for shard in &mut self.shards {
-            shard.channel.enable_trace();
-        }
-    }
-
-    /// Take the recorded command trace, merged over channels in cycle
-    /// order (ties resolved by channel index; per-channel order is
-    /// application order, which is what the timing checker validates).
-    #[cold]
-    pub fn take_mem_trace(
-        &mut self,
-    ) -> Vec<(usize, Cycle, chopim_dram::Command, chopim_dram::Issuer)> {
-        let mut all: Vec<(usize, Cycle, chopim_dram::Command, chopim_dram::Issuer)> = Vec::new();
-        for (c, shard) in self.shards.iter_mut().enumerate() {
-            all.extend(
-                shard
-                    .channel
-                    .take_trace()
-                    .into_iter()
-                    .map(|(at, cmd, who)| (c, at, cmd, who)),
-            );
-        }
-        all.sort_by_key(|&(c, at, _, _)| (at, c));
-        all
     }
 
     /// Aggregate host IPC so far.
@@ -1229,12 +1183,6 @@ impl ChopimSystem {
     /// True while every host-side shadow FSM matches its rank's FSM.
     pub fn fsm_in_sync(&self) -> bool {
         self.shards.iter().all(|s| s.fsm_in_sync())
-    }
-
-    /// NDA instructions completed so far (as observed by the host: a
-    /// completion counts when its delivery message arrives).
-    pub fn nda_instrs_completed(&self) -> u64 {
-        self.nda_instrs_completed
     }
 
     /// Build the metrics report for the window `[0, now)`.

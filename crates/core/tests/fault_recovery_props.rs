@@ -182,7 +182,8 @@ fn retry_exhaustion_fallback_and_cascade() {
 
 /// A deadline shorter than the op can possibly meet times it out even
 /// on a fault-free machine (the deadline machinery must not depend on
-/// the fault plane being active), and a generous deadline is harmless.
+/// the fault plane being active), a generous deadline is harmless, and
+/// an op submitted after the timed-out one concludes `DepFailed`.
 #[test]
 fn deadlines_work_without_faults() {
     let mut sys = faulted_sys(FaultPlan::NONE, 3, 64, 4_096);
@@ -208,4 +209,11 @@ fn deadlines_work_without_faults() {
     assert_eq!(r.faults.transient_faults, 0);
     assert_eq!(r.faults.instr_retries, 0);
     assert_eq!(r.dram.ecc_corrected, 0);
+    // Submitting behind the timed-out op aborts at once on an empty
+    // plan too: the cascade does not depend on the fault plane.
+    let late = sess
+        .elementwise(&mut sys.runtime, Opcode::Copy, vec![], vec![x], Some(y))
+        .after(tight)
+        .submit();
+    assert_eq!(sys.runtime.op_status(late), Some(OpStatus::DepFailed));
 }

@@ -2,6 +2,7 @@
 //! quiescence, and report stability.
 
 use chopim_core::prelude::*;
+use chopim_dram::trace::TraceEvent;
 use chopim_dram::TimingChecker;
 
 fn cfg() -> ChopimConfig {
@@ -43,7 +44,7 @@ fn refresh_and_nda_traffic_interleave_legally() {
         mix: Some(MixId::new(5).unwrap()),
         ..ChopimConfig::default()
     });
-    sys.enable_mem_trace();
+    sys.enable_trace_capture();
     let x = sys.runtime.vector(1 << 14, Sharing::Shared);
     let y = sys.runtime.vector(1 << 14, Sharing::Shared);
     sys.runtime.write_vector(x, &vec![1.0; 1 << 14]);
@@ -53,6 +54,19 @@ fn refresh_and_nda_traffic_interleave_legally() {
             .submit()
     });
     sys.run(60_000);
+    let trace: Vec<_> = sys
+        .trace_events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Cmd {
+                cycle,
+                channel,
+                cmd,
+                issuer,
+            } => Some((channel as usize, cycle, cmd, issuer)),
+            _ => None,
+        })
+        .collect();
     let r = sys.report();
     assert!(
         r.dram.refreshes > 10,
@@ -60,7 +74,6 @@ fn refresh_and_nda_traffic_interleave_legally() {
         r.dram.refreshes
     );
     assert!(r.dram.reads_nda > 0);
-    let trace = sys.take_mem_trace();
     let dcfg = DramConfig::table_ii();
     for ch in 0..dcfg.channels {
         let mut checker = TimingChecker::new(&dcfg);

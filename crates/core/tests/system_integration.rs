@@ -2,6 +2,7 @@
 //! qualitative claims of the paper's takeaways, checked on small windows.
 
 use chopim_core::prelude::*;
+use chopim_dram::trace::TraceEvent;
 use chopim_dram::TimingChecker;
 
 fn base_cfg() -> ChopimConfig {
@@ -86,7 +87,7 @@ fn concurrent_copy_with_host_keeps_fsm_in_sync_and_timing_legal() {
         mix: Some(MixId::new(1).unwrap()),
         ..base_cfg()
     });
-    sys.enable_mem_trace();
+    sys.enable_trace_capture();
     let (x, y) = vec_pair(&mut sys, 1 << 15);
     let sess = sys.runtime.default_session();
     sys.spawn_stream(sess, move |rt, s| {
@@ -98,11 +99,23 @@ fn concurrent_copy_with_host_keeps_fsm_in_sync_and_timing_legal() {
         sys.fsm_in_sync(),
         "host-side shadow FSMs must track the NDAs"
     );
+    let trace: Vec<_> = sys
+        .trace_events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Cmd {
+                cycle,
+                channel,
+                cmd,
+                issuer,
+            } => Some((channel as usize, cycle, cmd, issuer)),
+            _ => None,
+        })
+        .collect();
     let r = sys.report();
     assert!(r.host_ipc > 0.0);
     assert!(r.dram.reads_nda > 0, "NDA made progress under host load");
     // Every command in the trace satisfies the independent JEDEC checker.
-    let trace = sys.take_mem_trace();
     assert!(trace.len() > 10_000, "trace too small: {}", trace.len());
     let cfg = DramConfig::table_ii().with_timing(TimingParams::ddr4_2400_no_refresh());
     for ch in 0..cfg.channels {

@@ -11,7 +11,8 @@
 //!   forgot the CHSS bump" bug);
 //! * **boundary** — shard-side files never name front-end-owned types
 //!   or modules and vice versa; all cross-boundary traffic goes through
-//!   the typed messages in `exchange.rs`;
+//!   the typed messages in `exchange.rs`. Inside the front-end, the
+//!   runtime's arbiter never names op payloads;
 //! * **coldpath** — codec/snapshot/trace/fault fns carry `#[cold]` so
 //!   their bodies stay out of the fast loop's layout;
 //! * **unsafe** — every crate root carries `#![forbid(unsafe_code)]`.

@@ -26,8 +26,13 @@ const SIM_SCOPES: [&str; 4] = [
 /// module (PR 4's ownership split).
 const SHARD_SIDE: [&str; 2] = ["crates/core/src/shard.rs", "crates/core/src/sched.rs"];
 
-/// Front-end files: nothing here may name a shard-internal type.
-const FRONT_SIDE: [&str; 2] = ["crates/core/src/system.rs", "crates/core/src/runtime.rs"];
+/// Front-end files: nothing here may name a shard-internal type. The
+/// runtime is a directory, so every file under it is covered.
+const FRONT_SIDE: [&str; 2] = ["crates/core/src/system.rs", "crates/core/src/runtime/"];
+
+/// The runtime's launch arbiter: it decides from op gating state alone,
+/// so it must not reach into op payloads.
+const ARBITER: [&str; 1] = ["crates/core/src/runtime/arbiter.rs"];
 
 /// Identifiers a shard-side file must not mention: front-end-owned
 /// types plus the front-end module names themselves. Cross-boundary
@@ -56,6 +61,41 @@ const SHARD_OWNED: [&str; 5] = [
     "NdaFsm",
     "NdaTickResult",
     "Issued",
+];
+
+/// Identifiers the arbiter must not mention: the op payload types, the
+/// array store, and functional execution.
+const OP_PAYLOAD: [&str; 6] = [
+    "OpKind",
+    "RequestKind",
+    "OpRequest",
+    "ArrayData",
+    "arrays",
+    "finalize",
+];
+
+/// Boundary rules as `(covered files, forbidden identifiers, why)`. A
+/// covered entry ending in `/` is a directory prefix; any other entry
+/// is an exact path. A file under several rules obeys all of them.
+const BOUNDARY_RULES: [(&[&str], &[&str], &str); 3] = [
+    (
+        &SHARD_SIDE,
+        &FRONT_OWNED,
+        "front-end-owned: cross-boundary traffic must go through the typed messages in \
+         exchange.rs, not direct naming",
+    ),
+    (
+        &FRONT_SIDE,
+        &SHARD_OWNED,
+        "shard-owned: cross-boundary traffic must go through the typed messages in \
+         exchange.rs, not direct naming",
+    ),
+    (
+        &ARBITER,
+        &OP_PAYLOAD,
+        "an op payload: the arbiter decides from op gating state alone and must not \
+         reach into what an op computes",
+    ),
 ];
 
 /// Structs exempt from the snapshot-completeness field check: codec
@@ -335,37 +375,49 @@ pub fn snapshot(files: &[ScannedFile]) -> Vec<Diagnostic> {
 
 // --- shard boundary --------------------------------------------------
 
-/// Enforce the front-end / shard ownership split: shard-side files must
-/// not name front-end types or modules, front-end files must not name
-/// shard-internal machinery. `exchange.rs` (the typed message layer) is
-/// the one place both vocabularies may meet.
+/// Enforce the front-end / shard ownership split and the arbiter's
+/// payload fence (the `BOUNDARY_RULES` table): shard-side files must not
+/// name front-end types or modules, front-end files must not name
+/// shard-internal machinery, and the runtime's arbiter must not name op
+/// payloads. `exchange.rs` (the typed message layer) is the one place
+/// the shard and front-end vocabularies may meet.
 pub fn boundary(files: &[ScannedFile]) -> Vec<Diagnostic> {
+    let covers = |side: &[&str], path: &str| {
+        side.iter().any(|&p| {
+            if p.ends_with('/') {
+                path.starts_with(p)
+            } else {
+                path == p
+            }
+        })
+    };
     let mut diags = Vec::new();
     for f in files {
-        let (forbidden, other_side): (&[&str], &str) = if SHARD_SIDE.contains(&f.path.as_str()) {
-            (&FRONT_OWNED, "front-end")
-        } else if FRONT_SIDE.contains(&f.path.as_str()) {
-            (&SHARD_OWNED, "shard")
-        } else {
+        let rules: Vec<(&[&str], &str)> = BOUNDARY_RULES
+            .iter()
+            .filter(|(side, _, _)| covers(side, &f.path))
+            .map(|&(_, forbidden, why)| (forbidden, why))
+            .collect();
+        if rules.is_empty() {
             continue;
-        };
+        }
         let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
         for i in 0..f.toks.len() {
             let line = f.toks[i].line;
             if f.line_in_test(line) {
                 continue;
             }
-            if let Tok::Ident(s) = &f.toks[i].tok {
+            let Tok::Ident(s) = &f.toks[i].tok else {
+                continue;
+            };
+            for &(forbidden, why) in &rules {
                 if forbidden.contains(&s.as_str()) && seen.insert((line, s.clone())) {
                     push(
                         &mut diags,
                         &f.path,
                         line,
                         "boundary",
-                        format!(
-                            "`{s}` is {other_side}-owned: cross-boundary traffic must go \
-                             through the typed messages in exchange.rs, not direct naming"
-                        ),
+                        format!("`{s}` is {why}"),
                     );
                 }
             }

@@ -130,6 +130,23 @@ fn boundary_exempts_the_exchange_meeting_point() {
     assert!(findings_of(&ws, "boundary").is_empty());
 }
 
+const ARBITER_PROBE: &str = "fn pick(rt: &Runtime) -> usize { rt.arrays.len() }\n";
+
+#[test]
+fn boundary_flags_op_payloads_in_the_arbiter() {
+    let ws = Workspace::from_sources(&[("crates/core/src/runtime/arbiter.rs", ARBITER_PROBE)]);
+    let found = findings_of(&ws, "boundary");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("`arrays` is an op payload"), "{found:?}");
+}
+
+#[test]
+fn boundary_lets_other_runtime_files_name_op_payloads() {
+    // Same source one file over: the payload fence is the arbiter's alone.
+    let ws = Workspace::from_sources(&[("crates/core/src/runtime/ops.rs", ARBITER_PROBE)]);
+    assert!(findings_of(&ws, "boundary").is_empty());
+}
+
 // --- cold-path hygiene -----------------------------------------------
 
 #[test]

@@ -101,3 +101,49 @@ fn stripping_cold_from_a_real_codec_fires_the_coldpath_pass() {
         "removing a #[cold] in trace.rs did not fire the coldpath pass"
     );
 }
+
+/// Append `probe` to the real `path` and return the boundary findings,
+/// after checking that the unmutated file has none.
+fn boundary_findings_with(path: &str, probe: &str) -> Vec<String> {
+    let orig = read(path);
+    let clean = Workspace::from_sources(&[(path, &orig)]);
+    assert!(
+        !clean.run().iter().any(|d| d.pass == "boundary"),
+        "control run already has boundary findings in {path}"
+    );
+    let mutated = format!("{orig}\n{probe}\n");
+    Workspace::from_sources(&[(path, &mutated)])
+        .run()
+        .into_iter()
+        .filter(|d| d.pass == "boundary")
+        .map(|d| d.msg)
+        .collect()
+}
+
+#[test]
+fn shard_type_in_a_runtime_file_fires_the_boundary_pass() {
+    // The runtime is matched by directory prefix: a file under
+    // runtime/ is front-end side without being listed by name.
+    let found = boundary_findings_with(
+        "crates/core/src/runtime/ops.rs",
+        "fn lint_probe(mc: &HostMc) {}",
+    );
+    assert!(
+        found.iter().any(|m| m.contains("`HostMc` is shard-owned")),
+        "HostMc in runtime/ops.rs did not fire the boundary pass: {found:?}"
+    );
+}
+
+#[test]
+fn op_payload_in_the_arbiter_fires_the_boundary_pass() {
+    let found = boundary_findings_with(
+        "crates/core/src/runtime/arbiter.rs",
+        "fn lint_probe(kind: &OpKind) {}",
+    );
+    assert!(
+        found
+            .iter()
+            .any(|m| m.contains("`OpKind` is an op payload")),
+        "OpKind in runtime/arbiter.rs did not fire the boundary pass: {found:?}"
+    );
+}

@@ -14,16 +14,15 @@
 //! * [`timemodel`] — per-step wall-clock costs *measured on the Chopim
 //!   simulator* (NDA summarization bandwidth, host streaming bandwidth,
 //!   concurrent-slowdown factors) and composed into convergence-vs-time
-//!   trajectories (Fig. 15);
-//! * [`cg`] / [`sc`] — conjugate gradient and a streamcluster kernel
-//!   expressed as NDA op streams (the "app" points of Figs. 13/14).
+//!   trajectories (Fig. 15).
+//!
+//! The CG and streamcluster "app" points of Figs. 13/14 are the
+//! `chopim_exp::Workload::{CgStream, ScStream}` op streams.
 
 #![forbid(unsafe_code)]
 
-pub mod cg;
 pub mod dataset;
 pub mod logreg;
-pub mod sc;
 pub mod svrg;
 pub mod timemodel;
 

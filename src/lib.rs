@@ -13,7 +13,7 @@
 //! * [`core`] — the Chopim system: FR-FCFS host controller, NDA issue
 //!   policies, replicated FSM coordination, runtime/API, energy model,
 //! * [`ml`] — SVRG logistic regression (host-only / accelerated /
-//!   delayed-update), CG and streamcluster drivers,
+//!   delayed-update) and its time model,
 //! * [`exp`] — the experiment subsystem: declarative [`exp::ScenarioSpec`]s,
 //!   cartesian sweep grids, and the deterministic parallel
 //!   [`exp::SweepRunner`] every figure bench runs on.
